@@ -8,6 +8,7 @@ generator; nothing here touches global state.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -29,7 +30,6 @@ class AcsParams:
     """
 
     beta: float = 2.0
-    theta: float = 1.0
     rho: float = 0.1
     q0: float = 0.85
     alpha: float = 0.1
@@ -39,8 +39,6 @@ class AcsParams:
     def __post_init__(self) -> None:
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if not 0.0 <= self.q0 <= 1.0:
@@ -91,8 +89,11 @@ def nearest_neighbor_tour(inst: TspInstance, start: int = 0) -> Tour:
 
 
 def compute_tau0(inst: TspInstance) -> float:
-    """Initial pheromone level 1 / (n * L_nn) from the greedy tour at city 0."""
-    return 1.0 / (inst.dimension * nearest_neighbor_tour(inst, 0).length)
+    """Initial pheromone level 1 / (n * L_nn) from the greedy tour at city 0.
+
+    A zero-length greedy tour (all points coincide) counts as length 1.
+    """
+    return 1.0 / (inst.dimension * max(nearest_neighbor_tour(inst, 0).length, 1))
 
 
 def init_pheromone(n: int, tau0: float) -> np.ndarray:
@@ -108,17 +109,43 @@ def heuristic_matrix(inst: TspInstance) -> np.ndarray:
     return 1.0 / d
 
 
-def _pick(J: np.ndarray, w: np.ndarray, q0: float, rng: np.random.Generator) -> int:
-    """Exploit (argmax) with probability q0, otherwise sample proportionally."""
+def _row_weights(tau_row: np.ndarray, eta_pow_row: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    """Transition weights tau * eta**beta over a whole row, zero at visited cities."""
+    return tau_row * eta_pow_row * avail
+
+
+def _choose(w: np.ndarray, avail: np.ndarray, q0: float, rng: np.random.Generator) -> int:
+    """Pseudo-random-proportional rule over a masked row of weights.
+
+    With probability q0 take the largest weight (ties: lowest index),
+    otherwise sample a city with probability proportional to its weight.
+    Visited cities weigh 0.0, so the cumulative sum only rises at unvisited
+    ones and ``searchsorted`` can only land there. Adding 0.0 is exact, so
+    the choice and the random draws equal those of the same rule applied to
+    the unvisited cities alone.
+    """
     if rng.random() <= q0:
-        return int(J[int(np.argmax(w))])
-    c = np.cumsum(w)
-    total = float(c[-1])
-    if total > 0.0 and np.isfinite(total):
-        x = rng.random() * total
-        return int(J[min(int(np.searchsorted(c, x, side="right")), J.size - 1)])
+        s = int(w.argmax())
+        # every weight underflowed to 0.0: the lowest unvisited city
+        return s if avail.item(s) else int(avail.argmax())
+    c = w.cumsum()
+    total = c.item(-1)
+    if 0.0 < total < math.inf:
+        s = int(c.searchsorted(rng.random() * total, side="right"))
+        # a draw rounded up to the total: the last unvisited city
+        return s if s < c.size else int(np.flatnonzero(avail)[-1])
     # weights can underflow to all-zero after very long decay: fall back to uniform
+    J = np.flatnonzero(avail)
     return int(J[min(int(rng.random() * J.size), J.size - 1)])
+
+
+def _weights_at(r: int, unvisited, tau: np.ndarray, inst: TspInstance, beta: float):
+    """Masked weight row of city r and the mask (1.0 at the unvisited cities)."""
+    avail = np.zeros(inst.dimension)
+    avail[np.asarray(list(unvisited), dtype=np.int64)] = 1.0
+    if not avail.any():
+        raise ValueError("no unvisited cities to choose from")
+    return _row_weights(tau[r], heuristic_matrix(inst)[r] ** beta, avail), avail
 
 
 def transition_probabilities(
@@ -129,18 +156,12 @@ def transition_probabilities(
     params,
 ) -> np.ndarray:
     """Normalized choice distribution over the unvisited cities, sorted by index."""
-    J = np.sort(np.asarray(list(unvisited), dtype=np.int64))
-    if J.size == 0:
-        raise ValueError("no unvisited cities to choose from")
-    eta = heuristic_matrix(inst)
-    t = tau[r, J]
-    if params.theta != 1.0:
-        t = t ** params.theta
-    w = t * eta[r, J] ** params.beta
+    w, avail = _weights_at(r, unvisited, tau, inst, params.beta)
+    J = np.flatnonzero(avail)
     total = w.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    if not 0.0 < total < math.inf:
         return np.full(J.size, 1.0 / J.size)
-    return w / total
+    return w[J] / total
 
 
 def select_next_city(
@@ -152,24 +173,20 @@ def select_next_city(
     rng: np.random.Generator,
 ) -> int:
     """One application of the pseudo-random-proportional transition rule."""
-    J = np.sort(np.asarray(list(unvisited), dtype=np.int64))
-    if J.size == 0:
-        raise ValueError("no unvisited cities to choose from")
-    eta = heuristic_matrix(inst)
-    t = tau[r, J]
-    if params.theta != 1.0:
-        t = t ** params.theta
-    w = t * eta[r, J] ** params.beta
-    return _pick(J, w, params.q0, rng)
+    return _choose(*_weights_at(r, unvisited, tau, inst, params.beta), params.q0, rng)
+
+
+def _evaporate(tau: np.ndarray, r: int, s: int, keep: float, add: float) -> None:
+    v = keep * tau.item(r, s) + add
+    tau[r, s] = v
+    tau[s, r] = v
 
 
 def local_update(tau: np.ndarray, r: int, s: int, params) -> None:
     """Evaporate edge (r, s) toward the base level, symmetrically."""
     if params.tau0 is None:
         raise ValueError("local_update needs params.tau0 to be set")
-    v = (1.0 - params.rho) * tau[r, s] + params.rho * params.tau0
-    tau[r, s] = v
-    tau[s, r] = v
+    _evaporate(tau, r, s, 1.0 - params.rho, params.rho * params.tau0)
 
 
 def global_update(tau: np.ndarray, best: Tour, params) -> None:
@@ -202,7 +219,7 @@ def construct_tour(
 ) -> Tour:
     """Build one complete tour, locally updating every traversed edge.
 
-    ``params`` is any bundle exposing beta, theta, rho, q0 and tau0; the
+    ``params`` is any bundle exposing beta, rho, q0 and tau0; the
     hybrid solver passes per-ant values here. ``eta_pow`` (the heuristic
     matrix already raised to beta) can be supplied to avoid recomputation.
     """
@@ -212,32 +229,22 @@ def construct_tour(
     tau0 = params.tau0 if params.tau0 is not None else compute_tau0(inst)
     if eta_pow is None:
         eta_pow = heuristic_matrix(inst) ** params.beta
-    theta = params.theta
-    rho = params.rho
+    keep = 1.0 - params.rho
+    add = params.rho * tau0
     q0 = params.q0
 
-    order = np.empty(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    order[0] = start
-    visited[start] = True
+    avail = np.ones(n)
+    avail[start] = 0.0
+    order = [start]
     r = start
-    for k in range(1, n):
-        J = np.flatnonzero(~visited)
-        t = tau[r, J]
-        if theta != 1.0:
-            t = t ** theta
-        s = _pick(J, t * eta_pow[r, J], q0, rng)
-        v = (1.0 - rho) * tau[r, s] + rho * tau0
-        tau[r, s] = v
-        tau[s, r] = v
-        order[k] = s
-        visited[s] = True
+    for _ in range(n - 1):
+        s = _choose(_row_weights(tau[r], eta_pow[r], avail), avail, q0, rng)
+        _evaporate(tau, r, s, keep, add)
+        avail[s] = 0.0
+        order.append(s)
         r = s
-    first = int(order[0])
-    v = (1.0 - rho) * tau[r, first] + rho * tau0
-    tau[r, first] = v
-    tau[first, r] = v
-    return Tour(order=tuple(int(c) for c in order), length=tour_length(inst, order))
+    _evaporate(tau, r, start, keep, add)
+    return Tour(order=tuple(order), length=tour_length(inst, order))
 
 
 def run_acs(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .acs import AcsParams, RunRecord, run_acs
-from .firefly import PARAM_NAMES, ParamBounds
+from .firefly import PARAM_NAMES, ParamBounds, check_bounds
 from .hybrid import HybridConfig, ParameterTrace, run_acsfa
 from .stats import ResponseMatrix, write_response_matrix
 from .tsplib import TsplibParseError, parse_instance
@@ -175,7 +175,12 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             parts = value.replace(",", " ").split()
             if len(parts) != 2:
                 raise ValueError(f"{key}: expected two numbers 'low high', got {value!r}")
-            ranges[_RANGE_KEYS[key]] = (float(parts[0]), float(parts[1]))
+            name = _RANGE_KEYS[key]
+            ranges[name] = (float(parts[0]), float(parts[1]))
+            try:
+                check_bounds(name, *ranges[name])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         else:
             raise ValueError(f"unknown config key {key!r}")
 
@@ -189,29 +194,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             **{name: ranges.get(name, getattr(defaults, name)) for name in PARAM_NAMES}
         )
     config = ExperimentConfig(**kwargs)
-    _validate_bounds(config.bounds)
     missing = [p for p in config.instances if not Path(p).is_file()]
     if missing:
         raise ValueError(f"instances: file(s) not found: {', '.join(missing)}")
     return config
-
-
-def _validate_bounds(bounds: ParamBounds) -> None:
-    lo, hi = bounds.beta
-    if lo < 0:
-        raise ValueError(f"beta_range: lower bound must be >= 0, got {lo}")
-    lo, hi = bounds.rho
-    if not (0.0 < lo and hi <= 1.0):
-        raise ValueError(f"rho_range: bounds must lie in (0, 1], got ({lo}, {hi})")
-    lo, hi = bounds.q0
-    if not (0.0 <= lo and hi <= 1.0):
-        raise ValueError(f"q0_range: bounds must lie in [0, 1], got ({lo}, {hi})")
-    lo, hi = bounds.gamma
-    if lo < 0:
-        raise ValueError(f"gamma_range: lower bound must be >= 0, got {lo}")
-    lo, hi = bounds.delta
-    if not (0.0 <= lo and hi <= 1.0):
-        raise ValueError(f"delta_range: bounds must lie in [0, 1], got ({lo}, {hi})")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -17,10 +17,28 @@ import numpy as np
 
 PARAM_NAMES = ("beta", "rho", "q0", "gamma", "delta")
 
+# Where each dimension's box must lie, and the test for it.
+_DOMAINS = {
+    "beta": ("[0, inf)", lambda low, high: low >= 0.0),
+    "rho": ("(0, 1]", lambda low, high: low > 0.0 and high <= 1.0),
+    "q0": ("[0, 1]", lambda low, high: low >= 0.0 and high <= 1.0),
+    "gamma": ("[0, inf)", lambda low, high: low >= 0.0),
+    "delta": ("[0, 1]", lambda low, high: low >= 0.0 and high <= 1.0),
+}
+
+
+def check_bounds(name: str, low: float, high: float) -> None:
+    """Raise ValueError unless (low, high) is a finite box side within the dimension's domain."""
+    if not (math.isfinite(low) and math.isfinite(high) and low < high):
+        raise ValueError(f"{name} bounds must be finite with low < high, got ({low}, {high})")
+    domain, inside = _DOMAINS[name]
+    if not inside(low, high):
+        raise ValueError(f"{name} bounds must lie in {domain}, got ({low}, {high})")
+
 
 @dataclass(frozen=True)
 class ParamBounds:
-    """Per-dimension (low, high) box for parameter vectors."""
+    """Per-dimension (low, high) box for parameter vectors, checked by :func:`check_bounds`."""
 
     beta: tuple[float, float] = (0.0, 8.0)
     rho: tuple[float, float] = (0.5, 1.0)
@@ -30,9 +48,7 @@ class ParamBounds:
 
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
-            low, high = getattr(self, name)
-            if not low < high:
-                raise ValueError(f"{name} bounds must satisfy low < high, got ({low}, {high})")
+            check_bounds(name, *getattr(self, name))
         lows = np.array([getattr(self, n)[0] for n in PARAM_NAMES])
         highs = np.array([getattr(self, n)[1] for n in PARAM_NAMES])
         lows.setflags(write=False)

@@ -88,7 +88,6 @@ class ParameterTrace:
 
 class _AntParams(NamedTuple):
     beta: float
-    theta: float
     rho: float
     q0: float
     tau0: float
@@ -155,12 +154,12 @@ def run_acsfa(
     for it in range(config.iterations):
         for k in range(m):
             v = pop[k]
-            ant = _AntParams(beta=v.beta, theta=1.0, rho=local_decay(v.rho, m), q0=v.q0, tau0=tau0)
+            ant = _AntParams(beta=v.beta, rho=local_decay(v.rho, m), q0=v.q0, tau0=tau0)
             start = int(rng.integers(n))
             tour = construct_tour(inst, tau, ant, rng, start, eta_pow=eta ** v.beta)
             if best is None or tour.length < best.length:
                 best = tour
-                light[k] = brightness(tour.length)
+                light[k] = brightness(max(tour.length, 1))  # zero-length tours only on degenerate data
         global_update(tau, best, config)
         pop = sweep(pop, light, fa, config.bounds, rng)
         brightest = int(np.argmax(light))  # the brightest firefly never moved

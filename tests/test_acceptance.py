@@ -174,9 +174,7 @@ class TestCriterion7Invariants:
         tau = init_pheromone(8, tau0)
         expected = list(range(8))
         for vector in init_population(bounds, 10_000, rng):
-            params = SimpleNamespace(
-                beta=vector.beta, theta=1.0, rho=vector.rho, q0=vector.q0, tau0=tau0
-            )
+            params = SimpleNamespace(beta=vector.beta, rho=vector.rho, q0=vector.q0, tau0=tau0)
             tour = construct_tour(inst, tau, params, rng, start=int(rng.integers(8)))
             assert sorted(tour.order) == expected
 

@@ -22,6 +22,9 @@ from acsfa.tsplib import TspInstance, tour_length
 # greedy tour length from city 0, frozen from an independently coded oracle
 EIL51_NN_LENGTH = 511
 
+# every point at the origin: all distances, and every tour length, are 0
+COINCIDENT5 = TspInstance(name="coincident5", dimension=5, metric="EUC_2D", coords=np.zeros((5, 2)))
+
 
 def explicit(weights) -> TspInstance:
     w = np.asarray(weights)
@@ -36,7 +39,6 @@ class TestParams:
         "kwargs",
         [
             {"beta": -0.1},
-            {"theta": -1.0},
             {"rho": 0.0},
             {"rho": 1.0},
             {"q0": 1.2},
@@ -99,6 +101,9 @@ class TestTau0:
 
     def test_eil51(self, eil51):
         assert compute_tau0(eil51) == pytest.approx(1.0 / (51 * EIL51_NN_LENGTH))
+
+    def test_coincident_points_count_as_length_one(self):
+        assert compute_tau0(COINCIDENT5) == 1.0 / 5
 
 
 class TestTransitionProbabilities:
@@ -280,6 +285,12 @@ class TestRunAcs:
         record = run_acs(eil51, AcsParams(), 0, np.random.default_rng(0))
         assert record.best_tour.length == EIL51_NN_LENGTH
         assert record.best_lengths == ()
+
+    def test_coincident_points_give_a_zero_length_permutation(self):
+        record = run_acs(COINCIDENT5, AcsParams(), 5, np.random.default_rng(0))
+        assert sorted(record.best_tour.order) == list(range(5))
+        assert record.best_tour.length == 0
+        assert record.best_lengths == (0,) * 5
 
     def test_trace_non_increasing(self, ulysses16):
         record = run_acs(ulysses16, AcsParams(), 60, np.random.default_rng(4))

@@ -98,6 +98,15 @@ output_dir = results
         with pytest.raises(ValueError, match="rho_range"):
             parse_config(f"instances = {mini_path}\nrho_range = 0.5 1.5\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["delta_range = 0.8 1.5", "rho_range = -0.5 0.2", "beta_range = -3 -1", "gamma_range = 4 2"],
+    )
+    def test_range_error_names_the_key(self, mini_path, line):
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            parse_config(f"instances = {mini_path}\n{line}\n")
+
     def test_unknown_key_rejected(self, mini_path):
         with pytest.raises(ValueError, match="frobnicate"):
             parse_config(f"instances = {mini_path}\nfrobnicate = 3\n")

@@ -32,6 +32,27 @@ class TestBounds:
         with pytest.raises(ValueError, match="gamma"):
             ParamBounds(gamma=(3.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            {"delta": (0.8, 1.5)},  # alpha would grow; reduce_alpha rejects it mid-run
+            {"rho": (-0.5, 0.2)},
+            {"beta": (-3.0, -1.0)},  # inverts the heuristic
+            {"q0": (0.5, 1.2)},
+            {"gamma": (-1.0, 10.0)},
+            {"beta": (0.0, math.inf)},
+            {"q0": (math.nan, 1.0)},
+        ],
+        ids=lambda box: "-".join(f"{k}={v}" for k, v in box.items()),
+    )
+    def test_box_outside_the_domain_rejected_at_construction(self, box):
+        (name,) = box
+        with pytest.raises(ValueError, match=name):
+            ParamBounds(**box)
+
+    def test_domain_edges_accepted(self):
+        ParamBounds(beta=(0.0, 20.0), rho=(1e-9, 1.0), q0=(0.0, 1.0), gamma=(0.0, 100.0), delta=(0.0, 1.0))
+
     def test_contains(self):
         assert BOUNDS.contains(LOW) and BOUNDS.contains(HIGH)
         assert not BOUNDS.contains(ParamVector(9.0, 0.6, 0.6, 5.0, 0.9))

@@ -2,12 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acsfa.hybrid
 from acsfa.acs import local_update
 from acsfa.firefly import PARAM_NAMES, ParamBounds
 from acsfa.hybrid import HybridConfig, brightness, init_population, local_decay, run_acsfa
-from acsfa.tsplib import tour_length
+from acsfa.tsplib import TspInstance, tour_length
 
 
 class TestBrightness:
@@ -201,6 +203,35 @@ class TestRunAcsfa:
         assert np.array_equal(tr_a.means, tr_b.means)
         assert np.array_equal(tr_a.mins, tr_b.mins)
         assert np.array_equal(tr_a.maxs, tr_b.maxs)
+
+    def test_coincident_points_give_a_zero_length_permutation(self):
+        inst = TspInstance(name="coincident5", dimension=5, metric="EUC_2D", coords=np.zeros((5, 2)))
+        record, trace = run_acsfa(inst, HybridConfig(iterations=5), np.random.default_rng(0))
+        assert sorted(record.best_tour.order) == list(range(5))
+        assert record.best_tour.length == 0
+        assert record.best_lengths == (0,) * 5
+        assert len(trace) == 5
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_valid_box_runs_to_the_end(self, data, tiny3):
+        # every box ParamBounds accepts must run without failing part-way
+        domains = {
+            "beta": (0.0, 20.0),
+            "rho": (1e-6, 1.0),
+            "q0": (0.0, 1.0),
+            "gamma": (0.0, 50.0),
+            "delta": (0.0, 1.0),
+        }
+        box = {}
+        for name, (floor, ceiling) in domains.items():
+            side = st.floats(floor, ceiling)
+            a, b = data.draw(st.tuples(side, side).filter(lambda t: t[0] != t[1]))
+            box[name] = (min(a, b), max(a, b))
+        config = HybridConfig(iterations=4, m=4, bounds=ParamBounds(**box))
+        record, _ = run_acsfa(tiny3, config, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        assert sorted(record.best_tour.order) == [0, 1, 2]
+        assert config.bounds.contains(record.best_params)
 
     def test_all_param_vectors_stay_in_bounds_every_iteration(self, tiny3):
         # min/max rows bound every firefly, so box containment of the whole
