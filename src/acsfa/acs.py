@@ -244,7 +244,10 @@ def construct_tour(
         order.append(s)
         r = s
     _evaporate(tau, r, start, keep, add)
-    return Tour(order=tuple(order), length=tour_length(inst, order))
+    # the order is a permutation by construction, so skip tour_length's check
+    o = np.array(order)
+    length = int(inst.dist[o[:-1], o[1:]].sum()) + inst.dist.item(r, start)
+    return Tour(order=tuple(order), length=length)
 
 
 def run_acs(

@@ -291,10 +291,9 @@ def format_record(record: RunRecord) -> str:
         "# best_tour: " + " ".join(str(c) for c in record.best_tour.order),
     ]
     if record.best_params is not None:
-        v = record.best_params
         lines.append(
             "# best_params: "
-            + " ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, v.as_array()))
+            + " ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, record.best_params))
         )
     lines.append("iteration,best_length")
     lines.extend(f"{i},{length}" for i, length in enumerate(record.best_lengths))

@@ -140,7 +140,7 @@ def run_acsfa(
     tau = init_pheromone(n, tau0)
     eta = heuristic_matrix(inst)
     pop = init_population(config.bounds, m, rng)
-    fa = FaState(alpha=config.fa_alpha0, beta0=config.fa_beta0, alpha0=config.fa_alpha0)
+    fa = FaState(alpha=config.fa_alpha0, beta0=config.fa_beta0)
 
     dims = len(PARAM_NAMES)
     means = np.empty((config.iterations, dims))
@@ -164,7 +164,7 @@ def run_acsfa(
         pop = sweep(pop, light, fa, config.bounds, rng)
         brightest = int(np.argmax(light))  # the brightest firefly never moved
         reduce_alpha(fa, pop[brightest].delta)
-        positions = np.stack([v.as_array() for v in pop])
+        positions = np.array(pop)
         means[it] = positions.mean(axis=0)
         mins[it] = positions.min(axis=0)
         maxs[it] = positions.max(axis=0)

@@ -13,7 +13,7 @@ from acsfa.bench import (
     parse_config,
     run_experiment,
 )
-from acsfa.firefly import ParamBounds
+from acsfa.firefly import PARAM_NAMES, ParamBounds
 from acsfa.tsplib import format_instance
 
 MINI_INSTANCE = """\
@@ -257,6 +257,14 @@ class TestExport:
         assert "# seed: 7" in text
         assert "# best_tour:" in text
         assert "iteration,best_length" in text
+
+    def test_best_params_header_reads_back_exactly(self, mini_config):
+        result = run_experiment(mini_config)
+        record = next(r for r in result.records if r.algorithm == "acsfa")
+        (line,) = [ln for ln in format_record(record).splitlines() if ln.startswith("# best_params: ")]
+        pairs = [item.split("=") for item in line.removeprefix("# best_params: ").split()]
+        assert [name for name, _ in pairs] == list(PARAM_NAMES)
+        assert tuple(float(value) for _, value in pairs) == record.best_params
 
     def test_best_matrix_needs_two_instances(self, mini_config, eil51, tmp_path):
         # single instance: no stats-ready matrix is written

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acsfa.firefly import (
     PARAM_NAMES,
@@ -9,10 +11,10 @@ from acsfa.firefly import (
     ParamBounds,
     ParamVector,
     attractiveness,
-    firefly_step,
     move,
     param_distance,
     reduce_alpha,
+    sweep,
 )
 
 BOUNDS = ParamBounds()
@@ -167,68 +169,139 @@ class TestReduceAlpha:
             reduce_alpha(FaState(), -0.1)
 
 
+def random_vectors(rng, count):
+    return [ParamVector.from_array(BOUNDS.lows + rng.random(5) * BOUNDS.widths) for _ in range(count)]
+
+
 class TestFireflyStep:
+    """One step of the firefly algorithm: one call of ``sweep``."""
+
     def test_singleton_unchanged(self):
-        fa = FaState()
-        pop = [(ParamVector(4.0, 0.7, 0.9, 3.0, 0.85), 0.5)]
-        assert firefly_step(pop, fa, BOUNDS, np.random.default_rng(0)) == pop
+        v = ParamVector(4.0, 0.7, 0.9, 3.0, 0.85)
+        assert sweep([v], [0.5], FaState(), BOUNDS, np.random.default_rng(0)) == [v]
 
     def test_equal_brightness_no_motion(self):
         fa = FaState()
         fa.alpha = 0.0
         a = ParamVector(1.0, 0.6, 0.6, 2.0, 0.9)
         b = ParamVector(7.0, 0.9, 0.9, 8.0, 0.82)
-        out = firefly_step([(a, 0.25), (b, 0.25)], fa, BOUNDS, np.random.default_rng(0))
-        assert [v for v, _ in out] == [a, b]
+        assert sweep([a, b], [0.25, 0.25], fa, BOUNDS, np.random.default_rng(0)) == [a, b]
 
     def test_dimmer_lands_on_brighter(self):
         fa = FaState()
         fa.alpha = 0.0
-        dim = ParamVector(1.0, 0.6, 0.6, 0.0, 0.9)  # target gamma 0 -> full pull
-        bright = ParamVector(7.0, 0.9, 0.9, 0.0, 0.82)
-        out = firefly_step([(dim, 0.1), (bright, 0.9)], fa, BOUNDS, np.random.default_rng(0))
-        assert out[0] == (bright, 0.9)  # ranked: brightest first
-        assert out[1][0] == bright      # dimmer teleported onto it
+        dim = ParamVector(1.0, 0.6, 0.6, 0.0, 0.9)
+        bright = ParamVector(7.0, 0.9, 0.9, 0.0, 0.82)  # its gamma 0 -> full pull
+        out = sweep([dim, bright], [0.1, 0.9], fa, BOUNDS, np.random.default_rng(0))
+        assert out == [bright, bright]  # caller's order kept, dimmer moved onto the brighter
 
     def test_brightest_is_fixed_point_with_alpha_zero(self):
         fa = FaState()
         fa.alpha = 0.0
         rng = np.random.default_rng(3)
-        pop = [
-            (ParamVector.from_array(BOUNDS.lows + rng.random(5) * BOUNDS.widths), float(b))
-            for b in rng.random(6)
-        ]
-        best = max(pop, key=lambda p: p[1])
-        out = firefly_step(pop, fa, BOUNDS, rng)
-        assert out[0] == best
-
-    def test_ranked_by_brightness(self):
-        fa = FaState(alpha=0.5)
-        rng = np.random.default_rng(4)
-        pop = [
-            (ParamVector.from_array(BOUNDS.lows + rng.random(5) * BOUNDS.widths), float(b))
-            for b in rng.random(8)
-        ]
-        out = firefly_step(pop, fa, BOUNDS, rng)
-        lights = [b for _, b in out]
-        assert lights == sorted(lights, reverse=True)
+        pop = random_vectors(rng, 6)
+        light = [float(b) for b in rng.random(6)]
+        brightest = int(np.argmax(light))
+        out = sweep(pop, light, fa, BOUNDS, rng)
+        assert out[brightest] == pop[brightest]
 
     def test_all_results_within_bounds(self):
         fa = FaState(alpha=5.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            pop = [
-                (ParamVector.from_array(BOUNDS.lows + rng.random(5) * BOUNDS.widths), float(b))
-                for b in rng.random(5)
-            ]
-            out = firefly_step(pop, fa, BOUNDS, rng)
-            assert all(BOUNDS.contains(v) for v, _ in out)
+            out = sweep(random_vectors(rng, 5), [float(b) for b in rng.random(5)], fa, BOUNDS, rng)
+            assert all(BOUNDS.contains(v) for v in out)
 
     def test_non_finite_brightness_rejected(self):
-        fa = FaState()
-        pop = [(LOW, 0.5), (HIGH, float("nan"))]
         with pytest.raises(ValueError, match="finite"):
-            firefly_step(pop, fa, BOUNDS, np.random.default_rng(0))
+            sweep([LOW, HIGH], [0.5, float("nan")], FaState(), BOUNDS, np.random.default_rng(0))
+
+
+class TestParamVector:
+    def test_array_round_trip(self):
+        v = ParamVector(2.661202117368, 0.7, 0.9, 3.0, 0.85)
+        assert ParamVector.from_array(v.as_array()) == v
+        assert v.as_array().tobytes() == np.array([2.661202117368, 0.7, 0.9, 3.0, 0.85]).tobytes()
+        assert all(type(x) is float for x in ParamVector.from_array(np.arange(5.0)))
+
+    def test_immutable(self):
+        v = ParamVector(4.0, 0.7, 0.9, 3.0, 0.85)
+        with pytest.raises(AttributeError):
+            v.beta = 1.0
+
+
+def _array(v: ParamVector) -> np.ndarray:
+    return np.array([v.beta, v.rho, v.q0, v.gamma, v.delta])
+
+
+def reference_distance(xi, xj, bounds) -> float:
+    diff = (_array(xi) - _array(xj)) / (bounds.highs - bounds.lows)
+    return float(math.sqrt(float((diff * diff).sum())))
+
+
+def reference_move(xi, xj, fa, gamma, bounds, rng) -> np.ndarray:
+    """The elementwise array form of the firefly move that the float form replaced."""
+    lows, highs = bounds.lows, bounds.highs
+    widths = highs - lows
+    a, t = _array(xi), _array(xj)
+    r = reference_distance(xi, xj, bounds)
+    b = float(fa.beta0 * math.exp(-gamma * r * r))
+    attracted = t if b == 1.0 else a + b * (t - a)
+    x = attracted + fa.alpha * (rng.random(5) - 0.5) * widths
+    return np.clip(x, lows, highs)
+
+
+# finite box sides within each dimension's domain, in PARAM_NAMES order
+_DOMAIN_SPANS = ((0.0, 50.0), (1e-9, 1.0), (0.0, 1.0), (0.0, 50.0), (0.0, 1.0))
+
+
+@st.composite
+def boxes_and_points(draw):
+    """Bounds, then two positions in them given as fractions of each width (xj may equal xi)."""
+    sides = []
+    for lo, hi in _DOMAIN_SPANS:
+        # -0.0 passes a ">= 0" domain check; a clamp onto it must keep its sign
+        edges = st.sampled_from([lo, hi, -0.0] if lo == 0.0 else [lo, hi])
+        a, b = draw(st.lists(st.one_of(st.floats(lo, hi), edges), min_size=2, max_size=2, unique=True))
+        sides.append((min(a, b), max(a, b)))
+    bounds = ParamBounds(**dict(zip(PARAM_NAMES, sides)))
+    fractions = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=5, max_size=5)
+
+    def point():
+        return ParamVector.from_array(bounds.lows + np.array(draw(fractions)) * bounds.widths)
+
+    xi = point()
+    xj = xi if draw(st.booleans()) else point()
+    return bounds, xi, xj
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    case=boxes_and_points(),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    alpha=st.one_of(st.floats(1e-12, 10.0), st.floats(10.0, 1e6)),  # past ~2 widths every dimension clamps
+    beta0=st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a kick that underflows to zero leaves 0.0 on the side -0.0, where the clamp's tie picks the sign
+@example(
+    case=(ParamBounds(beta=(-0.0, 8.0)),) + (ParamVector(0.0, 0.6, 0.6, 1.0, 0.9),) * 2,
+    gamma=0.0, alpha=5e-324, beta0=1.0, seed=0,
+)
+# full attraction lands on xj, where xi + 1.0 * (xj - xi) would round 1e-17 to 0.0
+@example(
+    case=(BOUNDS, ParamVector(1.0, 0.6, 0.6, 1.0, 0.9), ParamVector(1e-17, 0.6, 0.6, 1.0, 0.9)),
+    gamma=0.0, alpha=5e-324, beta0=1.0, seed=0,
+)
+def test_move_matches_the_array_reference(case, gamma, alpha, beta0, seed):
+    bounds, xi, xj = case
+    assert param_distance(xi, xj, bounds) == reference_distance(xi, xj, bounds)
+    fa = FaState(alpha=alpha, beta0=beta0)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_move(xi, xj, fa, gamma, bounds, ref_rng)
+    got = move(xi, xj, fa, gamma, bounds, rng)
+    assert np.array(got).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_param_names_order():
