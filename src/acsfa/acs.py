@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,10 +23,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class AcsParams:
-    """Parameter bundle for the fixed-parameter baseline solver.
+    """Settings of the fixed-parameter baseline solver.
 
-    ``tau0`` is derived from the instance (see :func:`compute_tau0`) whenever
-    it is left as None.
+    The base pheromone level tau0 is always derived from the instance (see
+    :func:`compute_tau0`).
     """
 
     beta: float = 2.0
@@ -34,11 +34,10 @@ class AcsParams:
     q0: float = 0.85
     alpha: float = 0.1
     m: int = 10
-    tau0: float | None = None
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if not 0.0 <= self.q0 <= 1.0:
@@ -47,8 +46,6 @@ class AcsParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.m < 1:
             raise ValueError(f"ant count m must be >= 1, got {self.m}")
-        if self.tau0 is not None and not self.tau0 > 0:
-            raise ValueError(f"tau0 must be positive, got {self.tau0}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,10 @@ def transition_probabilities(
     unvisited,
     tau: np.ndarray,
     inst: TspInstance,
-    params,
+    beta: float,
 ) -> np.ndarray:
     """Normalized choice distribution over the unvisited cities, sorted by index."""
-    w, avail = _weights_at(r, unvisited, tau, inst, params.beta)
+    w, avail = _weights_at(r, unvisited, tau, inst, beta)
     J = np.flatnonzero(avail)
     total = w.sum()
     if not 0.0 < total < math.inf:
@@ -169,11 +166,12 @@ def select_next_city(
     unvisited,
     tau: np.ndarray,
     inst: TspInstance,
-    params,
+    beta: float,
+    q0: float,
     rng: np.random.Generator,
 ) -> int:
     """One application of the pseudo-random-proportional transition rule."""
-    return _choose(*_weights_at(r, unvisited, tau, inst, params.beta), params.q0, rng)
+    return _choose(*_weights_at(r, unvisited, tau, inst, beta), q0, rng)
 
 
 def _evaporate(tau: np.ndarray, r: int, s: int, keep: float, add: float) -> None:
@@ -182,14 +180,12 @@ def _evaporate(tau: np.ndarray, r: int, s: int, keep: float, add: float) -> None
     tau[s, r] = v
 
 
-def local_update(tau: np.ndarray, r: int, s: int, params) -> None:
-    """Evaporate edge (r, s) toward the base level, symmetrically."""
-    if params.tau0 is None:
-        raise ValueError("local_update needs params.tau0 to be set")
-    _evaporate(tau, r, s, 1.0 - params.rho, params.rho * params.tau0)
+def local_update(tau: np.ndarray, r: int, s: int, rho: float, tau0: float) -> None:
+    """Evaporate edge (r, s) toward the base level tau0, symmetrically."""
+    _evaporate(tau, r, s, 1.0 - rho, rho * tau0)
 
 
-def global_update(tau: np.ndarray, best: Tour, params) -> None:
+def global_update(tau: np.ndarray, best: Tour, alpha: float) -> None:
     """Evaporate and reward the global-best tour's edges, symmetrically.
 
     Only edges on the best tour are touched: tau <- (1-alpha)*tau + alpha/L.
@@ -198,7 +194,6 @@ def global_update(tau: np.ndarray, best: Tour, params) -> None:
     sampled), which measurably destroys solution quality on small
     instances, so the update stays confined to the reinforced edges.
     """
-    alpha = params.alpha
     o = np.asarray(best.order, dtype=np.int64)
     nxt = np.roll(o, -1)
     bonus = alpha / max(best.length, 1)  # zero-length tours only on degenerate data
@@ -211,27 +206,24 @@ def global_update(tau: np.ndarray, best: Tour, params) -> None:
 def construct_tour(
     inst: TspInstance,
     tau: np.ndarray,
-    params,
     rng: np.random.Generator,
     start: int,
     *,
-    eta_pow: np.ndarray | None = None,
+    eta_pow: np.ndarray,
+    q0: float,
+    rho: float,
+    tau0: float,
 ) -> Tour:
     """Build one complete tour, locally updating every traversed edge.
 
-    ``params`` is any bundle exposing beta, rho, q0 and tau0; the
-    hybrid solver passes per-ant values here. ``eta_pow`` (the heuristic
-    matrix already raised to beta) can be supplied to avoid recomputation.
+    ``eta_pow`` is the heuristic matrix already raised to beta; the hybrid
+    solver passes per-ant values of it, q0 and rho.
     """
     n = inst.dimension
     if not 0 <= start < n:
         raise IndexError(f"start city {start} out of range for n={n}")
-    tau0 = params.tau0 if params.tau0 is not None else compute_tau0(inst)
-    if eta_pow is None:
-        eta_pow = heuristic_matrix(inst) ** params.beta
-    keep = 1.0 - params.rho
-    add = params.rho * tau0
-    q0 = params.q0
+    keep = 1.0 - rho
+    add = rho * tau0
 
     avail = np.ones(n)
     avail[start] = 0.0
@@ -264,20 +256,21 @@ def run_acs(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     t0 = time.perf_counter()
-    tau0 = params.tau0 if params.tau0 is not None else compute_tau0(inst)
-    eff = replace(params, tau0=tau0)
+    tau0 = compute_tau0(inst)
     n = inst.dimension
     tau = init_pheromone(n, tau0)
-    eta_pow = heuristic_matrix(inst) ** eff.beta
+    eta_pow = heuristic_matrix(inst) ** params.beta
     best: Tour | None = None
     trace: list[int] = []
     for _ in range(iterations):
-        for _ in range(eff.m):
+        for _ in range(params.m):
             start = int(rng.integers(n))
-            tour = construct_tour(inst, tau, eff, rng, start, eta_pow=eta_pow)
+            tour = construct_tour(
+                inst, tau, rng, start, eta_pow=eta_pow, q0=params.q0, rho=params.rho, tau0=tau0
+            )
             if best is None or tour.length < best.length:
                 best = tour
-        global_update(tau, best, eff)
+        global_update(tau, best, params.alpha)
         trace.append(best.length)
     if best is None:
         best = nearest_neighbor_tour(inst, 0)

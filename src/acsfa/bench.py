@@ -8,6 +8,7 @@ inside the solvers, never around file I/O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -55,7 +56,6 @@ class ExperimentConfig:
     acs_q0: float = 0.85
     alpha: float = 0.1
     fa_alpha0: float = 2.3
-    fa_beta0: float = 1.0
     output_dir: str = "acsfa-out"
 
     def __post_init__(self) -> None:
@@ -82,12 +82,12 @@ class ExperimentConfig:
             raise ValueError(f"acs_rho: must lie in (0, 1), got {self.acs_rho}")
         if not 0.0 <= self.acs_q0 <= 1.0:
             raise ValueError(f"acs_q0: must lie in [0, 1], got {self.acs_q0}")
-        if self.acs_beta < 0:
-            raise ValueError(f"acs_beta: must be >= 0, got {self.acs_beta}")
+        if not 0.0 <= self.acs_beta < math.inf:
+            raise ValueError(f"acs_beta: must be finite and >= 0, got {self.acs_beta}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha: must lie in (0, 1), got {self.alpha}")
-        if not self.fa_alpha0 > 0:
-            raise ValueError(f"fa_alpha0: must be positive, got {self.fa_alpha0}")
+        if not 0.0 < self.fa_alpha0 < math.inf:
+            raise ValueError(f"fa_alpha0: must be finite and positive, got {self.fa_alpha0}")
 
     def seed_for(self, repetition: int) -> int:
         if self.seeds is not None:
@@ -130,7 +130,7 @@ class ExperimentResult:
 
 _RANGE_KEYS = {f"{name}_range": name for name in PARAM_NAMES}
 _INT_KEYS = ("repetitions", "iterations", "ants", "base_seed")
-_FLOAT_KEYS = ("acs_beta", "acs_rho", "acs_q0", "alpha", "fa_alpha0", "fa_beta0")
+_FLOAT_KEYS = ("acs_beta", "acs_rho", "acs_q0", "alpha", "fa_alpha0")
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -246,7 +246,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         bounds=config.bounds,
                         alpha=config.alpha,
                         fa_alpha0=config.fa_alpha0,
-                        fa_beta0=config.fa_beta0,
                     )
                     record, trace = run_acsfa(inst, hybrid_config, rng)
                     traces[(algo, inst.name, seed)] = trace

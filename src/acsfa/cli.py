@@ -88,7 +88,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if not args.optima:
             raise ValueError("--response error requires --optima FILE")
         matrix = error_matrix(matrix, _read_optima(args.optima))
+    # everything that can fail runs before the first line is printed
     table = rcbd_anova(matrix)
+    grouping = tukey_hsd(matrix, args.confidence)
     print(f"response: {args.response}")
     print("source,df,adj_ss,adj_ms,f,p")
     print(
@@ -101,7 +103,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     )
     print(f"error,{table.error.df},{table.error.ss:.1f},{table.error.ms:.1f},,")
     print(f"total,{table.total.df},{table.total.ss:.1f},,,")
-    grouping = tukey_hsd(matrix, args.confidence)
     print(
         f"tukey at {100 * args.confidence:g}% confidence: "
         f"q={grouping.q_critical:.4f} hsd={grouping.hsd:.4f}"

@@ -106,11 +106,10 @@ class FaState:
     """
 
     alpha: float = 2.3
-    beta0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must start positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must start finite and positive, got {self.alpha}")
 
 
 def param_distance(a: ParamVector, b: ParamVector, bounds: ParamBounds) -> float:
@@ -122,13 +121,13 @@ def param_distance(a: ParamVector, b: ParamVector, bounds: ParamBounds) -> float
     return math.sqrt(total)
 
 
-def attractiveness(beta0: float, gamma: float, r: float) -> float:
-    """beta0 * exp(-gamma * r^2); beta0 is the attraction at r = 0."""
+def attractiveness(gamma: float, r: float) -> float:
+    """exp(-gamma * r^2): full attraction (1) at r = 0, fading with distance."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if r < 0:
         raise ValueError(f"distance must be >= 0, got {r}")
-    return float(beta0 * math.exp(-gamma * r * r))
+    return math.exp(-gamma * r * r)
 
 
 def move(
@@ -144,14 +143,14 @@ def move(
     The kick in each dimension is ``alpha * (u - 1/2)`` times that
     dimension's width, u uniform in [0, 1), from one ``rng.random(5)`` draw.
     The result is clamped to the bounds, so the step is total. Full
-    attraction (b == 1, e.g. gamma == 0 with the default beta0) lands on
-    ``xj`` exactly rather than within rounding error.
+    attraction (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather
+    than within rounding error.
 
     The math runs on Python floats one dimension at a time, with the same
     IEEE operations in the same order as the elementwise array form, so the
     result is bit-identical to it and several times faster on five values.
     """
-    b = attractiveness(fa.beta0, gamma, param_distance(xi, xj, bounds))
+    b = attractiveness(gamma, param_distance(xi, xj, bounds))
     alpha = fa.alpha
     out = []
     for a, t, u, (low, high, width) in zip(xi, xj, rng.random(5).tolist(), bounds.sides):

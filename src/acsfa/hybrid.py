@@ -28,9 +28,9 @@ iteration.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class HybridConfig:
     bounds: ParamBounds = field(default_factory=ParamBounds)
     alpha: float = 0.1
     fa_alpha0: float = 2.3
-    fa_beta0: float = 1.0
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -65,8 +64,8 @@ class HybridConfig:
             raise ValueError(f"ant count m must be >= 1, got {self.m}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.fa_alpha0 > 0:
-            raise ValueError(f"fa_alpha0 must be positive, got {self.fa_alpha0}")
+        if not 0.0 < self.fa_alpha0 < math.inf:
+            raise ValueError(f"fa_alpha0 must be finite and positive, got {self.fa_alpha0}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +83,6 @@ class ParameterTrace:
 
     def __len__(self) -> int:
         return self.means.shape[0]
-
-
-class _AntParams(NamedTuple):
-    beta: float
-    rho: float
-    q0: float
-    tau0: float
 
 
 def brightness(length: int) -> float:
@@ -140,7 +132,7 @@ def run_acsfa(
     tau = init_pheromone(n, tau0)
     eta = heuristic_matrix(inst)
     pop = init_population(config.bounds, m, rng)
-    fa = FaState(alpha=config.fa_alpha0, beta0=config.fa_beta0)
+    fa = FaState(alpha=config.fa_alpha0)
 
     dims = len(PARAM_NAMES)
     means = np.empty((config.iterations, dims))
@@ -154,13 +146,13 @@ def run_acsfa(
     for it in range(config.iterations):
         for k in range(m):
             v = pop[k]
-            ant = _AntParams(beta=v.beta, rho=local_decay(v.rho, m), q0=v.q0, tau0=tau0)
             start = int(rng.integers(n))
-            tour = construct_tour(inst, tau, ant, rng, start, eta_pow=eta ** v.beta)
+            rho = local_decay(v.rho, m)
+            tour = construct_tour(inst, tau, rng, start, eta_pow=eta ** v.beta, q0=v.q0, rho=rho, tau0=tau0)
             if best is None or tour.length < best.length:
                 best = tour
                 light[k] = brightness(max(tour.length, 1))  # zero-length tours only on degenerate data
-        global_update(tau, best, config)
+        global_update(tau, best, config.alpha)
         pop = sweep(pop, light, fa, config.bounds, rng)
         brightest = int(np.argmax(light))  # the brightest firefly never moved
         reduce_alpha(fa, pop[brightest].delta)

@@ -1,8 +1,8 @@
 """Randomized-complete-block ANOVA and Tukey pairwise grouping.
 
 The response is one row per treatment (algorithm) and one column per block
-(problem instance). p-values come from the F upper tail via the
-regularized incomplete beta function; Tukey critical points come from
+(problem instance). p-values come from the F upper tail
+(``scipy.special.fdtrc``); Tukey critical points come from
 numerically integrating the studentized range distribution, so any
 confidence level in (0, 1) works without table lookup.
 """
@@ -99,18 +99,6 @@ def error_matrix(best: ResponseMatrix, optima: Mapping[str, float]) -> ResponseM
     return ResponseMatrix(values, best.treatments, best.blocks)
 
 
-def f_upper_tail(f: float, df1: int, df2: int) -> float:
-    """P(F(df1, df2) > f) via the regularized incomplete beta function."""
-    if df1 < 1 or df2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if not np.isfinite(f):
-        return 0.0
-    if f <= 0:
-        return 1.0
-    x = df2 / (df2 + df1 * f)
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, x))
-
-
 def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
     """Two-factor additive decomposition: treatments, blocks, residual."""
     x = m.values
@@ -142,8 +130,8 @@ def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
     else:
         f_treat = ms_treat / ms_error
         f_block = ms_block / ms_error
-        p_treat = f_upper_tail(f_treat, df_treat, df_error)
-        p_block = f_upper_tail(f_block, df_block, df_error)
+        p_treat = special.fdtrc(df_treat, df_error, f_treat)
+        p_block = special.fdtrc(df_block, df_error, f_block)
 
     return AnovaTable(
         treatment=AnovaRow(df_treat, ss_treat, ms_treat),
@@ -197,14 +185,19 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 
 
 def studentized_range_quantile(p: float, k: int, df: int) -> float:
-    """Inverse CDF of the studentized range, solved by bracketing to ~1e-8."""
+    """Inverse CDF of the studentized range, solved by bracketing to ~1e-8.
+
+    Quantiles beyond 1e4 (p very close to 1 at df = 1) are rejected.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     hi = 4.0
     while studentized_range_cdf(hi, k, df) < p:
         hi *= 2.0
         if hi > 1e4:
-            raise RuntimeError("failed to bracket the studentized range quantile")
+            raise ValueError(
+                f"the studentized range quantile for p={p}, k={k}, df={df} lies beyond 1e4"
+            )
     return float(brentq(lambda q: studentized_range_cdf(q, k, df) - p, 1e-9, hi, xtol=1e-9))
 
 

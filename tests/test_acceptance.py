@@ -5,7 +5,6 @@ line per criterion is printed at the end of the session (see conftest).
 """
 
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from acsfa.acs import (
     compute_tau0,
     construct_tour,
     global_update,
+    heuristic_matrix,
     init_pheromone,
     local_update,
     run_acs,
@@ -24,7 +24,7 @@ from acsfa.exact import brute_force, held_karp
 from acsfa.firefly import FaState, ParamBounds, ParamVector, move, reduce_alpha
 from acsfa.hybrid import HybridConfig, init_population, run_acsfa
 from acsfa.stats import error_matrix, rcbd_anova, tukey_hsd
-from acsfa.tsplib import tour_length
+from acsfa.tsplib import Tour, tour_length
 
 from conftest import random_euclidean
 from test_stats import BEST_LENGTHS, OPTIMA
@@ -137,29 +137,27 @@ class TestCriterion7Invariants:
     def test_criterion_7a_probability_normalization(self):
         rng = np.random.default_rng(100)
         inst = random_euclidean(12, rng)
-        params = AcsParams(beta=2.0, tau0=0.1)
         for _ in range(10_000):
             tau = rng.random((12, 12)) + 1e-12
             tau = (tau + tau.T) / 2.0
             size = int(rng.integers(1, 12))
             unvisited = rng.choice(11, size=size, replace=False) + 1
-            p = transition_probabilities(0, unvisited, tau, inst, params)
+            p = transition_probabilities(0, unvisited, tau, inst, 2.0)
             assert abs(float(p.sum()) - 1.0) <= 1e-12
             assert (p >= 0.0).all()
 
     def test_criterion_7b_pheromone_symmetry_positivity(self):
         rng = np.random.default_rng(101)
         inst = random_euclidean(9, rng)
-        params = AcsParams(rho=0.3, alpha=0.2, tau0=0.05)
-        tau = init_pheromone(9, params.tau0)
+        rho, alpha, tau0 = 0.3, 0.2, 0.05
+        tau = init_pheromone(9, tau0)
         for step in range(10_000):
             if rng.random() < 0.8:
                 i, j = rng.choice(9, size=2, replace=False)
-                local_update(tau, int(i), int(j), params)
+                local_update(tau, int(i), int(j), rho, tau0)
             else:
                 perm = tuple(int(c) for c in rng.permutation(9))
-                best = SimpleNamespace(order=perm, length=tour_length(inst, perm))
-                global_update(tau, best, params)
+                global_update(tau, Tour(order=perm, length=tour_length(inst, perm)), alpha)
             if step % 1000 == 0:
                 assert np.array_equal(tau, tau.T)
                 assert (tau > 0.0).all()
@@ -174,8 +172,16 @@ class TestCriterion7Invariants:
         tau = init_pheromone(8, tau0)
         expected = list(range(8))
         for vector in init_population(bounds, 10_000, rng):
-            params = SimpleNamespace(beta=vector.beta, rho=vector.rho, q0=vector.q0, tau0=tau0)
-            tour = construct_tour(inst, tau, params, rng, start=int(rng.integers(8)))
+            tour = construct_tour(
+                inst,
+                tau,
+                rng,
+                int(rng.integers(8)),
+                eta_pow=heuristic_matrix(inst) ** vector.beta,
+                q0=vector.q0,
+                rho=vector.rho,
+                tau0=tau0,
+            )
             assert sorted(tour.order) == expected
 
     def test_criterion_7d_firefly_clamping(self):

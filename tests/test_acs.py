@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from acsfa.acs import (
     transition_probabilities,
 )
 from acsfa.exact import brute_force
-from acsfa.tsplib import TspInstance, tour_length
+from acsfa.tsplib import Tour, TspInstance, tour_length
 
 # greedy tour length from city 0, frozen from an independently coded oracle
 EIL51_NN_LENGTH = 511
@@ -46,12 +44,16 @@ class TestParams:
             {"alpha": 0.0},
             {"alpha": 1.0},
             {"m": 0},
-            {"tau0": 0.0},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AcsParams(**kwargs)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            AcsParams(beta=beta)
 
 
 class TestNearestNeighbor:
@@ -109,36 +111,35 @@ class TestTau0:
 class TestTransitionProbabilities:
     def test_single_candidate(self, tiny3):
         tau = init_pheromone(3, 0.5)
-        p = transition_probabilities(0, [2], tau, tiny3, AcsParams(tau0=0.5))
+        p = transition_probabilities(0, [2], tau, tiny3, 2.0)
         assert p.tolist() == [1.0]
 
     def test_uniform_when_beta_zero(self, eil51):
         tau = init_pheromone(51, 0.2)
-        p = transition_probabilities(0, range(1, 51), tau, eil51, AcsParams(beta=0.0))
+        p = transition_probabilities(0, range(1, 51), tau, eil51, 0.0)
         assert np.allclose(p, 1.0 / 50.0)
 
     def test_direct_ratio(self):
         inst = explicit([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         tau = init_pheromone(3, 1.0)
         tau[0, 1] = tau[1, 0] = 2.0
-        p = transition_probabilities(0, [1, 2], tau, inst, AcsParams(beta=0.0, tau0=1.0))
+        p = transition_probabilities(0, [1, 2], tau, inst, 0.0)
         assert p == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
 
     def test_normalization_and_positivity(self, eil51):
         rng = np.random.default_rng(3)
-        params = AcsParams(beta=2.0)
         for _ in range(200):
             tau = rng.random((51, 51)) + 1e-9
             tau = (tau + tau.T) / 2
             size = int(rng.integers(1, 50))
             unvisited = rng.choice(50, size=size, replace=False) + 1
-            p = transition_probabilities(0, unvisited, tau, eil51, params)
+            p = transition_probabilities(0, unvisited, tau, eil51, 2.0)
             assert abs(p.sum() - 1.0) <= 1e-12
             assert (p >= 0).all()
 
     def test_empty_unvisited_rejected(self, tiny3):
         with pytest.raises(ValueError):
-            transition_probabilities(0, [], init_pheromone(3, 0.5), tiny3, AcsParams())
+            transition_probabilities(0, [], init_pheromone(3, 0.5), tiny3, 2.0)
 
 
 class TestSelectNextCity:
@@ -147,79 +148,69 @@ class TestSelectNextCity:
         tau = init_pheromone(4, 1.0)
         tau[0, 2] = tau[2, 0] = 5.0
         rng = np.random.default_rng(0)
-        params = AcsParams(q0=1.0, beta=0.0, tau0=1.0)
         for _ in range(20):
-            assert select_next_city(0, [1, 2, 3], tau, inst, params, rng) == 2
+            assert select_next_city(0, [1, 2, 3], tau, inst, 0.0, 1.0, rng) == 2
 
     def test_exploitation_ties_break_low_index(self):
         inst = explicit([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         tau = init_pheromone(4, 1.0)
-        params = AcsParams(q0=1.0, beta=0.0, tau0=1.0)
-        got = select_next_city(0, [3, 1, 2], tau, inst, params, np.random.default_rng(0))
+        got = select_next_city(0, [3, 1, 2], tau, inst, 0.0, 1.0, np.random.default_rng(0))
         assert got == 1
 
     def test_sampling_uniform_frequencies(self):
         # q0=0, uniform tau, beta=0: empirical frequencies within 2% of uniform
         inst = explicit([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
         tau = init_pheromone(4, 0.5)
-        params = AcsParams(beta=0.0, q0=0.0, tau0=0.5)
         rng = np.random.default_rng(123)
         counts = {1: 0, 2: 0, 3: 0}
         draws = 10**5
         for _ in range(draws):
-            counts[select_next_city(0, [1, 2, 3], tau, inst, params, rng)] += 1
+            counts[select_next_city(0, [1, 2, 3], tau, inst, 0.0, 0.0, rng)] += 1
         for city in counts:
             assert counts[city] / draws == pytest.approx(1.0 / 3.0, abs=0.02 / 3.0)
 
     def test_single_candidate_any_q(self, tiny3):
         tau = init_pheromone(3, 0.5)
         for seed in range(5):
-            got = select_next_city(0, [1], tau, tiny3, AcsParams(q0=0.5), np.random.default_rng(seed))
+            got = select_next_city(0, [1], tau, tiny3, 2.0, 0.5, np.random.default_rng(seed))
             assert got == 1
 
 
 class TestLocalUpdate:
     def test_fixed_point(self):
         tau = init_pheromone(3, 0.25)
-        local_update(tau, 0, 1, AcsParams(rho=0.3, tau0=0.25))
+        local_update(tau, 0, 1, rho=0.3, tau0=0.25)
         assert tau[0, 1] == pytest.approx(0.25)
 
     def test_direct_arithmetic(self):
         tau = init_pheromone(3, 0.2)
         tau[0, 1] = tau[1, 0] = 1.0
-        local_update(tau, 0, 1, AcsParams(rho=0.5, tau0=0.2))
+        local_update(tau, 0, 1, rho=0.5, tau0=0.2)
         assert tau[0, 1] == pytest.approx(0.6)
         assert tau[1, 0] == pytest.approx(0.6)
 
     def test_monotone_convergence_to_tau0(self):
-        params = AcsParams(rho=0.4, tau0=0.1)
         tau = init_pheromone(3, 0.1)
         tau[0, 1] = tau[1, 0] = 2.0
         prev = tau[0, 1]
         for _ in range(60):
-            local_update(tau, 0, 1, params)
+            local_update(tau, 0, 1, rho=0.4, tau0=0.1)
             assert tau[0, 1] < prev or tau[0, 1] == pytest.approx(0.1)
             prev = tau[0, 1]
         assert prev == pytest.approx(0.1, rel=1e-9)
-
-    def test_requires_tau0(self):
-        with pytest.raises(ValueError, match="tau0"):
-            local_update(init_pheromone(3, 0.5), 0, 1, AcsParams())
 
 
 class TestGlobalUpdate:
     def test_best_edge_value(self, tiny3):
         tau = init_pheromone(3, 1.0)
-        best = SimpleNamespace(order=(0, 1, 2), length=2)
-        global_update(tau, best, AcsParams(alpha=0.1, tau0=1.0))
+        global_update(tau, Tour(order=(0, 1, 2), length=2), 0.1)
         assert tau[0, 1] == pytest.approx(0.95)
         assert tau[1, 0] == pytest.approx(0.95)
 
     def test_off_best_edges_untouched(self):
         # reinforcement is confined to the best tour's edges
         tau = init_pheromone(4, 1.0)
-        best = SimpleNamespace(order=(0, 1, 2, 3), length=4)
-        global_update(tau, best, AcsParams(alpha=0.1, tau0=1.0))
+        global_update(tau, Tour(order=(0, 1, 2, 3), length=4), 0.1)
         assert tau[0, 2] == 1.0
         assert tau[1, 3] == 1.0
         assert tau[0, 1] == pytest.approx(0.925)
@@ -228,51 +219,60 @@ class TestGlobalUpdate:
         tau = init_pheromone(3, 0.7)
         tau[0, 1] = tau[1, 0] = 1.3
         snapshot = tau.copy()
-        # duck-typed bundle: AcsParams itself requires alpha in (0, 1)
-        global_update(tau, SimpleNamespace(order=(0, 1, 2), length=3), SimpleNamespace(alpha=0.0))
+        global_update(tau, Tour(order=(0, 1, 2), length=3), 0.0)
         assert np.array_equal(tau, snapshot)
 
     def test_symmetry_preserved(self, eil51):
         rng = np.random.default_rng(9)
         tau = init_pheromone(51, compute_tau0(eil51))
-        params = AcsParams()
         for _ in range(30):
             perm = tuple(int(c) for c in rng.permutation(51))
-            best = SimpleNamespace(order=perm, length=tour_length(eil51, perm))
-            global_update(tau, best, params)
+            global_update(tau, Tour(order=perm, length=tour_length(eil51, perm)), AcsParams().alpha)
         assert np.array_equal(tau, tau.T)
         assert (tau > 0).all()
 
 
+def ant_settings(inst: TspInstance, beta: float = 2.0, **values) -> dict:
+    """construct_tour's keyword values: AcsParams defaults, tau0 from the instance."""
+    defaults = AcsParams()
+    return {
+        "eta_pow": heuristic_matrix(inst) ** beta,
+        "q0": defaults.q0,
+        "rho": defaults.rho,
+        "tau0": compute_tau0(inst),
+        **values,
+    }
+
+
 class TestConstructTour:
     def test_triangle_always_unique_cycle(self, tiny3):
-        params = AcsParams(tau0=compute_tau0(tiny3))
-        tau = init_pheromone(3, params.tau0)
+        ant = ant_settings(tiny3)
+        tau = init_pheromone(3, ant["tau0"])
         for seed in range(10):
-            tour = construct_tour(tiny3, tau, params, np.random.default_rng(seed), start=seed % 3)
+            tour = construct_tour(tiny3, tau, np.random.default_rng(seed), seed % 3, **ant)
             assert tour.length == 3
 
     def test_always_a_permutation(self, eil51):
-        params = AcsParams(tau0=compute_tau0(eil51))
-        tau = init_pheromone(51, params.tau0)
+        ant = ant_settings(eil51)
+        tau = init_pheromone(51, ant["tau0"])
         for seed in range(25):
-            tour = construct_tour(eil51, tau, params, np.random.default_rng(seed), start=0)
+            tour = construct_tour(eil51, tau, np.random.default_rng(seed), 0, **ant)
             assert sorted(tour.order) == list(range(51))
             assert tour.length == tour_length(eil51, tour.order)
 
     def test_exploitation_on_square_matches_enumeration(self, square40):
         # q0=1 and a large beta on uniform pheromone follows the nearest
         # neighbor; enumeration confirms the perimeter is the optimum
-        params = AcsParams(beta=5.0, q0=1.0, tau0=compute_tau0(square40))
-        tau = init_pheromone(4, params.tau0)
-        tour = construct_tour(square40, tau, params, np.random.default_rng(0), start=0)
+        ant = ant_settings(square40, beta=5.0, q0=1.0)
+        tau = init_pheromone(4, ant["tau0"])
+        tour = construct_tour(square40, tau, np.random.default_rng(0), 0, **ant)
         assert tour.length == 40
         assert tour.length == brute_force(square40).length
 
     def test_local_update_applied_on_traversed_edges(self, square40):
-        params = AcsParams(beta=5.0, q0=1.0, rho=0.5, tau0=0.125)
+        ant = ant_settings(square40, beta=5.0, q0=1.0, rho=0.5, tau0=0.125)
         tau = init_pheromone(4, 4.0)
-        tour = construct_tour(square40, tau, params, np.random.default_rng(0), start=0)
+        tour = construct_tour(square40, tau, np.random.default_rng(0), 0, **ant)
         order = tour.order
         for k in range(4):
             r, s = order[k], order[(k + 1) % 4]
@@ -319,16 +319,16 @@ class TestRunAcs:
 
     def test_pheromone_floor_invariant(self, ulysses16):
         # after T global updates every entry stays above tau0 * (1 - alpha)^T
-        params = AcsParams(tau0=compute_tau0(ulysses16))
-        tau = init_pheromone(16, params.tau0)
+        ant = ant_settings(ulysses16)
+        alpha = AcsParams().alpha
+        tau = init_pheromone(16, ant["tau0"])
         rng = np.random.default_rng(2)
         iterations = 50
         for _ in range(iterations):
             for _ in range(3):
-                construct_tour(ulysses16, tau, params, rng, int(rng.integers(16)))
+                construct_tour(ulysses16, tau, rng, int(rng.integers(16)), **ant)
             perm = tuple(int(c) for c in rng.permutation(16))
-            best = SimpleNamespace(order=perm, length=tour_length(ulysses16, perm))
-            global_update(tau, best, params)
-        floor = params.tau0 * (1.0 - params.alpha) ** iterations
+            global_update(tau, Tour(order=perm, length=tour_length(ulysses16, perm)), alpha)
+        floor = ant["tau0"] * (1.0 - alpha) ** iterations
         assert tau.min() >= floor * (1.0 - 1e-12)
         assert (tau > 0).all()

@@ -107,6 +107,16 @@ output_dir = results
         with pytest.raises(ValueError, match=f"^{key}: "):
             parse_config(f"instances = {mini_path}\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("acs_beta", "nan"), ("acs_beta", "inf"), ("fa_alpha0", "nan"), ("fa_alpha0", "inf")],
+    )
+    def test_non_finite_value_rejected(self, mini_path, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            parse_config(f"instances = {mini_path}\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ExperimentConfig(instances=(str(mini_path),), **{key: float(value)})
+
     def test_unknown_key_rejected(self, mini_path):
         with pytest.raises(ValueError, match="frobnicate"):
             parse_config(f"instances = {mini_path}\nfrobnicate = 3\n")

@@ -109,6 +109,24 @@ class TestStats:
         assert "optima" in capsys.readouterr().err
 
 
+    def test_bad_confidence_prints_no_report(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text(MATRIX)
+        assert main(["stats", str(matrix), "--confidence", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "confidence" in captured.err
+
+    def test_quantile_out_of_reach_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # a 2 x 2 matrix leaves one error degree of freedom
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("treatment,x,y\nA,1,4\nB,2,7\n")
+        assert main(["stats", str(matrix), "--confidence", "0.9999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "studentized range" in captured.err
+
+
 class TestBench:
     def test_end_to_end(self, mini_path, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

@@ -82,22 +82,21 @@ class TestParamDistance:
 
 
 class TestAttractiveness:
-    def test_zero_distance_gives_beta0(self):
-        assert attractiveness(1.0, 3.7, 0.0) == 1.0
-        assert attractiveness(2.5, 3.7, 0.0) == 2.5
+    def test_zero_distance_gives_one(self):
+        assert attractiveness(3.7, 0.0) == 1.0
 
     def test_zero_gamma_constant(self):
         for r in (0.0, 0.4, 2.0, 100.0):
-            assert attractiveness(1.0, 0.0, r) == 1.0
+            assert attractiveness(0.0, r) == 1.0
 
     def test_unit_point(self):
-        assert attractiveness(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0))
+        assert attractiveness(1.0, 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            attractiveness(1.0, -0.1, 1.0)
+            attractiveness(-0.1, 1.0)
         with pytest.raises(ValueError):
-            attractiveness(1.0, 1.0, -0.5)
+            attractiveness(1.0, -0.5)
 
 
 class TestMove:
@@ -146,6 +145,11 @@ class TestMove:
 
 
 class TestReduceAlpha:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_start_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            FaState(alpha=alpha)
+
     def test_identity_at_one(self):
         fa = FaState(alpha=1.7)
         reduce_alpha(fa, 1.0)
@@ -245,7 +249,7 @@ def reference_move(xi, xj, fa, gamma, bounds, rng) -> np.ndarray:
     widths = highs - lows
     a, t = _array(xi), _array(xj)
     r = reference_distance(xi, xj, bounds)
-    b = float(fa.beta0 * math.exp(-gamma * r * r))
+    b = math.exp(-gamma * r * r)
     attracted = t if b == 1.0 else a + b * (t - a)
     x = attracted + fa.alpha * (rng.random(5) - 0.5) * widths
     return np.clip(x, lows, highs)
@@ -280,23 +284,22 @@ def boxes_and_points(draw):
     case=boxes_and_points(),
     gamma=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
     alpha=st.one_of(st.floats(1e-12, 10.0), st.floats(10.0, 1e6)),  # past ~2 widths every dimension clamps
-    beta0=st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
     seed=st.integers(0, 2**32 - 1),
 )
 # a kick that underflows to zero leaves 0.0 on the side -0.0, where the clamp's tie picks the sign
 @example(
     case=(ParamBounds(beta=(-0.0, 8.0)),) + (ParamVector(0.0, 0.6, 0.6, 1.0, 0.9),) * 2,
-    gamma=0.0, alpha=5e-324, beta0=1.0, seed=0,
+    gamma=0.0, alpha=5e-324, seed=0,
 )
 # full attraction lands on xj, where xi + 1.0 * (xj - xi) would round 1e-17 to 0.0
 @example(
     case=(BOUNDS, ParamVector(1.0, 0.6, 0.6, 1.0, 0.9), ParamVector(1e-17, 0.6, 0.6, 1.0, 0.9)),
-    gamma=0.0, alpha=5e-324, beta0=1.0, seed=0,
+    gamma=0.0, alpha=5e-324, seed=0,
 )
-def test_move_matches_the_array_reference(case, gamma, alpha, beta0, seed):
+def test_move_matches_the_array_reference(case, gamma, alpha, seed):
     bounds, xi, xj = case
     assert param_distance(xi, xj, bounds) == reference_distance(xi, xj, bounds)
-    fa = FaState(alpha=alpha, beta0=beta0)
+    fa = FaState(alpha=alpha)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = reference_move(xi, xj, fa, gamma, bounds, ref_rng)
     got = move(xi, xj, fa, gamma, bounds, rng)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,9 +35,8 @@ class TestLocalDecay:
         tau0 = 0.01
         tau = np.full((3, 3), tau0)
         tau[0, 1] = tau[1, 0] = 0.5
-        params = SimpleNamespace(rho=local_decay(rho, m), tau0=tau0)
         for _ in range(m):
-            local_update(tau, 0, 1, params)
+            local_update(tau, 0, 1, local_decay(rho, m), tau0)
         assert tau[0, 1] - tau0 == pytest.approx(rho * (0.5 - tau0), rel=1e-12)
 
     def test_default_box_maps_to_mild_decay(self):
@@ -54,9 +51,9 @@ class TestFireflyCoupling:
         decays = []
         real_construct = acsfa.hybrid.construct_tour
 
-        def spy(inst, tau, params, rng, start, **kwargs):
-            decays.append(params.rho)
-            return real_construct(inst, tau, params, rng, start, **kwargs)
+        def spy(inst, tau, rng, start, **kwargs):
+            decays.append(kwargs["rho"])
+            return real_construct(inst, tau, rng, start, **kwargs)
 
         monkeypatch.setattr(acsfa.hybrid, "construct_tour", spy)
         config = HybridConfig(iterations=5, m=4)
@@ -144,7 +141,6 @@ class TestConfig:
         assert config.m == 10
         assert config.alpha == 0.1
         assert config.fa_alpha0 == 2.3
-        assert config.fa_beta0 == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -153,6 +149,11 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HybridConfig(**kwargs)
+
+    @pytest.mark.parametrize("fa_alpha0", [float("nan"), float("inf")])
+    def test_non_finite_fa_alpha0_rejected(self, fa_alpha0):
+        with pytest.raises(ValueError, match="fa_alpha0"):
+            HybridConfig(fa_alpha0=fa_alpha0)
 
 
 class TestRunAcsfa:

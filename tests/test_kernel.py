@@ -7,8 +7,6 @@ in ``acsfa.acs`` works on whole rows with visited cities weighted 0.0; for
 any input it must pick the same city and consume the same random draws.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +26,8 @@ def reference_pick(J, w, q0, rng) -> int:
     return int(J[min(int(rng.random() * J.size), J.size - 1)])
 
 
-def reference_construct_tour(inst, tau, params, rng, start, eta_pow) -> Tour:
+def reference_construct_tour(inst, tau, rng, start, *, eta_pow, q0, rho, tau0) -> Tour:
     n = inst.dimension
-    rho, q0, tau0 = params.rho, params.q0, params.tau0
     order = np.empty(n, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
     order[0] = start
@@ -143,13 +140,12 @@ def test_construct_tour_matches_reference(n, beta, rho, q0, seed):
     noise = setup.random((n, n))
     tau = tau0 * (1.0 + noise + noise.T)
     ref_tau = tau.copy()
-    eta_pow = heuristic_matrix(inst) ** beta
-    params = SimpleNamespace(beta=beta, rho=rho, q0=q0, tau0=tau0)
+    ant = {"eta_pow": heuristic_matrix(inst) ** beta, "q0": q0, "rho": rho, "tau0": tau0}
     start = int(setup.integers(n))
 
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference_construct_tour(inst, ref_tau, params, ref_rng, start, eta_pow)
-    got = construct_tour(inst, tau, params, rng, start, eta_pow=eta_pow)
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, **ant)
+    got = construct_tour(inst, tau, rng, start, **ant)
     assert got == expected
     assert tau.tobytes() == ref_tau.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

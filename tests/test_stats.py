@@ -8,7 +8,6 @@ from scipy.stats import studentized_range
 from acsfa.stats import (
     ResponseMatrix,
     error_matrix,
-    f_upper_tail,
     rcbd_anova,
     read_response_matrix,
     studentized_range_cdf,
@@ -184,7 +183,9 @@ class TestRcbdAnova:
 
 
 class TestFUpperTail:
-    def test_against_quadrature(self):
+    """The p-values of rcbd_anova: the upper tail of the F distribution."""
+
+    def test_against_quadrature(self, errors):
         # independent route: integrate the F density directly
         def f_density(x, d1, d2):
             c = math.exp(
@@ -192,18 +193,44 @@ class TestFUpperTail:
             ) * (d1 / d2) ** (d1 / 2)
             return c * x ** (d1 / 2 - 1) * (1 + d1 * x / d2) ** (-(d1 + d2) / 2)
 
-        for f, d1, d2 in [(3.0035, 2, 22), (2.9191, 11, 22), (1.0, 5, 9), (0.3, 3, 14)]:
+        table = rcbd_anova(errors)
+        cases = [
+            (table.p_treatment, table.f_treatment, table.treatment.df, table.error.df),
+            (table.p_block, table.f_block, table.block.df, table.error.df),
+        ]
+        assert [(f, d1, d2) for _, f, d1, d2 in cases] == [
+            (pytest.approx(3.0035, abs=1e-4), 2, 22),
+            (pytest.approx(2.9191, abs=1e-4), 11, 22),
+        ]
+        for p, f, d1, d2 in cases:
             expected, _ = integrate.quad(f_density, f, np.inf, args=(d1, d2))
-            assert f_upper_tail(f, d1, d2) == pytest.approx(expected, rel=1e-8)
+            assert p == pytest.approx(expected, rel=1e-8)
 
     def test_edge_cases(self):
-        assert f_upper_tail(0.0, 2, 10) == 1.0
-        assert f_upper_tail(-3.0, 2, 10) == 1.0
-        assert f_upper_tail(float("inf"), 2, 10) == 0.0
+        labels = dict(treatments=("a", "b"), blocks=("w", "x", "y"))
+        # equal treatment means over a nonzero residual: F = 0, p = 1
+        table = rcbd_anova(ResponseMatrix(np.array([[1.0, 5.0, 3.0], [3.0, 3.0, 3.0]]), **labels))
+        assert table.error.ms > 0.0
+        assert table.f_treatment == 0.0
+        assert table.p_treatment == 1.0
+        # an exactly additive table has no residual: F = inf, p = 0
+        table = rcbd_anova(ResponseMatrix(np.array([[1.0, 2.0, 4.0], [2.0, 3.0, 5.0]]), **labels))
+        assert table.error.ss == 0.0
+        assert table.f_treatment == table.f_block == float("inf")
+        assert table.p_treatment == table.p_block == 0.0
 
     def test_strictly_decreasing_in_f(self):
-        values = [f_upper_tail(f, 2, 22) for f in np.linspace(0.1, 20.0, 40)]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        # shifting whole treatment rows apart leaves the residual as it is and raises F
+        base = np.array([[3.0, 1.0, 4.0, 1.0], [5.0, 9.0, 2.0, 6.0], [5.0, 3.0, 5.0, 8.0]])
+        shift = np.array([[0.0], [1.0], [2.0]])
+        tables = [
+            rcbd_anova(ResponseMatrix(base + gap * shift, ("a", "b", "c"), ("w", "x", "y", "z")))
+            for gap in np.linspace(0.0, 20.0, 40)
+        ]
+        fs = [t.f_treatment for t in tables]
+        ps = [t.p_treatment for t in tables]
+        assert all(a < b for a, b in zip(fs, fs[1:]))
+        assert all(a > b for a, b in zip(ps, ps[1:]))
 
 
 class TestStudentizedRange:
@@ -237,6 +264,11 @@ class TestStudentizedRange:
             studentized_range_cdf(1.0, 1, 10)
         with pytest.raises(ValueError):
             studentized_range_quantile(1.5, 3, 10)
+
+    def test_quantile_beyond_the_bracket_rejected(self):
+        # at df = 1 the 0.9999 quantile lies near 9003, past the 1e4 bracket's last doubling
+        with pytest.raises(ValueError, match="beyond"):
+            studentized_range_quantile(0.9999, 2, 1)
 
 
 class TestTukey:
