@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,10 +102,14 @@ def init_pheromone(n: int, tau0: float) -> np.ndarray:
     return np.full((n, n), float(tau0))
 
 
+def _inverse_distance(dist: np.ndarray) -> np.ndarray:
+    """1 / d elementwise, with zero distances counted as 1."""
+    return 1.0 / np.maximum(dist.astype(float), 1.0)
+
+
 def heuristic_matrix(inst: TspInstance) -> np.ndarray:
     """Inverse-distance attractiveness; zero-distance pairs count as distance 1."""
-    d = np.maximum(inst.dist.astype(float), 1.0)
-    return 1.0 / d
+    return _inverse_distance(inst.dist)
 
 
 def _row_weights(tau_row: np.ndarray, eta_pow_row: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -142,7 +148,7 @@ def _weights_at(r: int, unvisited, tau: np.ndarray, inst: TspInstance, beta: flo
     avail[np.asarray(list(unvisited), dtype=np.int64)] = 1.0
     if not avail.any():
         raise ValueError("no unvisited cities to choose from")
-    return _row_weights(tau[r], heuristic_matrix(inst)[r] ** beta, avail), avail
+    return _row_weights(tau[r], _inverse_distance(inst.dist[r]) ** beta, avail), avail
 
 
 def transition_probabilities(
@@ -242,6 +248,41 @@ def construct_tour(
     return Tour(order=tuple(order), length=length)
 
 
+def colony(
+    inst: TspInstance,
+    rng: np.random.Generator,
+    alpha: float,
+    ants: Callable[[], Iterable[tuple[np.ndarray, float, float]]],
+) -> Iterator[tuple[Tour, list[tuple[int, int]]]]:
+    """The ACS iteration of both solvers; it runs until the caller stops.
+
+    Each iteration, ``ants()`` hands out one ``(eta_pow, q0, rho)`` per ant
+    (see :func:`construct_tour`); each ant builds a tour from a random start
+    on the shared pheromone matrix, then the global best reinforces it.
+    Yields the global best and the ``(ant, length)`` of each tour that was a
+    new global best when built, in ant order.
+    """
+    n = inst.dimension
+    tau0 = compute_tau0(inst)
+    tau = init_pheromone(n, tau0)
+    best: Tour | None = None
+    while True:
+        records = []
+        k = 0
+        for eta_pow, q0, rho in ants():
+            start = int(rng.integers(n))
+            tour = construct_tour(inst, tau, rng, start, eta_pow=eta_pow, q0=q0, rho=rho, tau0=tau0)
+            # free this ant's matrix before ants() makes the next one; a loop
+            # over enumerate(ants()) would keep it in enumerate's reused tuple
+            del eta_pow
+            if best is None or tour.length < best.length:
+                best = tour
+                records.append((k, tour.length))
+            k += 1
+        global_update(tau, best, alpha)
+        yield best, records
+
+
 def run_acs(
     inst: TspInstance,
     params: AcsParams,
@@ -256,21 +297,10 @@ def run_acs(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     t0 = time.perf_counter()
-    tau0 = compute_tau0(inst)
-    n = inst.dimension
-    tau = init_pheromone(n, tau0)
-    eta_pow = heuristic_matrix(inst) ** params.beta
+    ant = (heuristic_matrix(inst) ** params.beta, params.q0, params.rho)
     best: Tour | None = None
     trace: list[int] = []
-    for _ in range(iterations):
-        for _ in range(params.m):
-            start = int(rng.integers(n))
-            tour = construct_tour(
-                inst, tau, rng, start, eta_pow=eta_pow, q0=params.q0, rho=params.rho, tau0=tau0
-            )
-            if best is None or tour.length < best.length:
-                best = tour
-        global_update(tau, best, params.alpha)
+    for best, _ in islice(colony(inst, rng, params.alpha, lambda: repeat(ant, params.m)), iterations):
         trace.append(best.length)
     if best is None:
         best = nearest_neighbor_tour(inst, 0)

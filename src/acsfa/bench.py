@@ -267,12 +267,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, summaries, records, traces, failures)
 
 
-def format_summary(summaries: list[ExperimentSummary], delimiter: str = ",") -> str:
+def format_summary(summaries: list[ExperimentSummary]) -> str:
     """Summary table: exact integer lengths, fixed two-decimal average and time."""
-    lines = [delimiter.join(["algorithm", "instance", "best", "average", "worst", "t_avg_s"])]
+    lines = [",".join(["algorithm", "instance", "best", "average", "worst", "t_avg_s"])]
     for s in summaries:
         lines.append(
-            delimiter.join(
+            ",".join(
                 [s.algorithm, s.instance, str(s.best), f"{s.average:.2f}", str(s.worst), f"{s.t_avg_s:.2f}"]
             )
         )

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_stats = sub.add_parser("stats", help="blocked ANOVA plus Tukey grouping on a response matrix")
-    p_stats.add_argument("matrix", help="delimited response matrix file")
+    p_stats.add_argument("matrix", help="comma-separated response matrix file")
     p_stats.add_argument("--confidence", type=float, default=0.90)
     p_stats.add_argument("--response", choices=("best", "error"), default="best")
     p_stats.add_argument("--optima", help="file of 'instance optimum' lines (for --response error)")

@@ -97,21 +97,6 @@ class ParamVector(NamedTuple):
         return cls(*(float(v) for v in values))
 
 
-@dataclass
-class FaState:
-    """Mutable randomization-weight state; alpha only ever shrinks.
-
-    ``alpha`` is the kick size in units of each dimension's range width (see
-    :func:`move`).
-    """
-
-    alpha: float = 2.3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must start finite and positive, got {self.alpha}")
-
-
 def param_distance(a: ParamVector, b: ParamVector, bounds: ParamBounds) -> float:
     """Euclidean distance after dividing each difference by its range width."""
     total = 0.0
@@ -133,15 +118,16 @@ def attractiveness(gamma: float, r: float) -> float:
 def move(
     xi: ParamVector,
     xj: ParamVector,
-    fa: FaState,
+    alpha: float,
     gamma: float,
     bounds: ParamBounds,
     rng: np.random.Generator,
 ) -> ParamVector:
     """Move ``xi`` toward ``xj`` with one uniform random kick per dimension.
 
-    The kick in each dimension is ``alpha * (u - 1/2)`` times that
-    dimension's width, u uniform in [0, 1), from one ``rng.random(5)`` draw.
+    ``alpha`` is the kick size in range widths: the kick in each dimension
+    is ``alpha * (u - 1/2)`` times that dimension's width, u uniform in
+    [0, 1), from one ``rng.random(5)`` draw.
     The result is clamped to the bounds, so the step is total. Full
     attraction (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather
     than within rounding error.
@@ -151,7 +137,6 @@ def move(
     result is bit-identical to it and several times faster on five values.
     """
     b = attractiveness(gamma, param_distance(xi, xj, bounds))
-    alpha = fa.alpha
     out = []
     for a, t, u, (low, high, width) in zip(xi, xj, rng.random(5).tolist(), bounds.sides):
         x = (t if b == 1.0 else a + b * (t - a)) + alpha * (u - 0.5) * width
@@ -160,17 +145,17 @@ def move(
     return ParamVector(*out)
 
 
-def reduce_alpha(fa: FaState, delta: float) -> None:
-    """Shrink the randomization weight once: alpha <- alpha * delta."""
+def reduce_alpha(alpha: float, delta: float) -> float:
+    """Shrink the randomization weight once: returns alpha * delta."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    fa.alpha *= delta
+    return alpha * delta
 
 
 def sweep(
     vecs: list[ParamVector],
     light: list[float],
-    fa: FaState,
+    alpha: float,
     bounds: ParamBounds,
     rng: np.random.Generator,
 ) -> list[ParamVector]:
@@ -188,6 +173,6 @@ def sweep(
     for i in range(len(vecs)):
         for j in range(len(vecs)):
             if light[j] > light[i]:
-                vecs[i] = move(vecs[i], vecs[j], fa, vecs[j].gamma, bounds, rng)
+                vecs[i] = move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng)
     return vecs
 

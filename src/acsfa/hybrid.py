@@ -34,16 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acs import (
-    RunRecord,
-    compute_tau0,
-    construct_tour,
-    global_update,
-    heuristic_matrix,
-    init_pheromone,
-    nearest_neighbor_tour,
-)
-from .firefly import PARAM_NAMES, FaState, ParamBounds, ParamVector, reduce_alpha, sweep
+from .acs import RunRecord, colony, heuristic_matrix, nearest_neighbor_tour
+from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
 
@@ -112,27 +104,28 @@ def run_acsfa(
 ) -> tuple[RunRecord, ParameterTrace]:
     """Run the self-tuning hybrid; returns the run record and parameter trace.
 
-    Per iteration: each ant builds a tour from a random start under its own
-    parameters, applying the local rule on the shared matrix with decay
-    :func:`local_decay` (rho is per-iteration trail persistence); the
-    global best reinforces the matrix; the firefly sweep evolves the
-    parameter population with each ant's record as brightness (the inverse
-    length of the best tour it built that was a new global best when built,
-    zero if none); and the kick size alpha, which starts at ``fa_alpha0``
-    range widths, shrinks by the brightest firefly's delta. Ants keep their
-    own vector across iterations (the sweep moves vectors in place rather
-    than reassigning them by rank); that identity-stable pairing measurably
-    tightens solution quality. The brightest firefly never moves, so
+    Per iteration of :func:`acsfa.acs.colony`: each ant builds a tour from a
+    random start under its own parameters, applying the local rule on the
+    shared matrix with decay :func:`local_decay` (rho is per-iteration
+    trail persistence); the global best reinforces the matrix; the firefly
+    sweep evolves the parameter population with each ant's record as
+    brightness (the inverse length of the best tour it built that was a new
+    global best when built, zero if none); and the kick size alpha, which
+    starts at ``fa_alpha0`` range widths, shrinks by the brightest
+    firefly's delta. Ants keep their own vector across iterations (the sweep
+    moves vectors in place rather than reassigning them by rank); that
+    identity-stable pairing measurably tightens solution quality. The brightest firefly never moves, so
     ``best_params`` is the vector that built the best tour.
     """
     t0 = time.perf_counter()
-    n = inst.dimension
     m = config.m
-    tau0 = compute_tau0(inst)
-    tau = init_pheromone(n, tau0)
     eta = heuristic_matrix(inst)
     pop = init_population(config.bounds, m, rng)
-    fa = FaState(alpha=config.fa_alpha0)
+    alpha = config.fa_alpha0
+
+    def ants():
+        for v in pop:
+            yield eta ** v.beta, v.q0, local_decay(v.rho, m)
 
     dims = len(PARAM_NAMES)
     means = np.empty((config.iterations, dims))
@@ -143,19 +136,12 @@ def run_acsfa(
     light = [0.0] * m
 
     brightest = 0
-    for it in range(config.iterations):
-        for k in range(m):
-            v = pop[k]
-            start = int(rng.integers(n))
-            rho = local_decay(v.rho, m)
-            tour = construct_tour(inst, tau, rng, start, eta_pow=eta ** v.beta, q0=v.q0, rho=rho, tau0=tau0)
-            if best is None or tour.length < best.length:
-                best = tour
-                light[k] = brightness(max(tour.length, 1))  # zero-length tours only on degenerate data
-        global_update(tau, best, config.alpha)
-        pop = sweep(pop, light, fa, config.bounds, rng)
+    for it, (best, records) in zip(range(config.iterations), colony(inst, rng, config.alpha, ants)):
+        for k, length in records:
+            light[k] = brightness(max(length, 1))  # zero-length tours only on degenerate data
+        pop = sweep(pop, light, alpha, config.bounds, rng)
         brightest = int(np.argmax(light))  # the brightest firefly never moved
-        reduce_alpha(fa, pop[brightest].delta)
+        alpha = reduce_alpha(alpha, pop[brightest].delta)
         positions = np.array(pop)
         means[it] = positions.mean(axis=0)
         mins[it] = positions.min(axis=0)

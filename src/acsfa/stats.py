@@ -264,17 +264,17 @@ def tukey_hsd(m: ResponseMatrix, confidence: float = 0.90) -> TukeyGrouping:
     )
 
 
-def read_response_matrix(text: str, delimiter: str = ",") -> ResponseMatrix:
-    """Parse a delimited table: header row of block labels, one row per treatment."""
+def read_response_matrix(text: str) -> ResponseMatrix:
+    """Parse a comma-separated table: header row of block labels, one row per treatment."""
     rows = [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]
     if len(rows) < 3:
         raise ValueError("response matrix needs a header row and at least two treatment rows")
-    header = [c.strip() for c in rows[0].split(delimiter)]
+    header = [c.strip() for c in rows[0].split(",")]
     blocks = header[1:]
     treatments = []
     values = []
     for line in rows[1:]:
-        cells = [c.strip() for c in line.split(delimiter)]
+        cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(blocks) + 1:
             raise ValueError(f"row {cells[0]!r} has {len(cells) - 1} cells, expected {len(blocks)}")
         treatments.append(cells[0])
@@ -282,9 +282,9 @@ def read_response_matrix(text: str, delimiter: str = ",") -> ResponseMatrix:
     return ResponseMatrix(np.array(values), tuple(treatments), tuple(blocks))
 
 
-def write_response_matrix(m: ResponseMatrix, delimiter: str = ",") -> str:
-    lines = [delimiter.join(["treatment", *m.blocks])]
+def write_response_matrix(m: ResponseMatrix) -> str:
+    lines = [",".join(["treatment", *m.blocks])]
     for label, row in zip(m.treatments, m.values):
         cells = [f"{v:.10g}" for v in row]
-        lines.append(delimiter.join([label, *cells]))
+        lines.append(",".join([label, *cells]))
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from acsfa.acs import (
     transition_probabilities,
 )
 from acsfa.exact import brute_force, held_karp
-from acsfa.firefly import FaState, ParamBounds, ParamVector, move, reduce_alpha
+from acsfa.firefly import ParamBounds, ParamVector, move, reduce_alpha
 from acsfa.hybrid import HybridConfig, init_population, run_acsfa
 from acsfa.stats import error_matrix, rcbd_anova, tukey_hsd
 from acsfa.tsplib import Tour, tour_length
@@ -187,19 +187,19 @@ class TestCriterion7Invariants:
     def test_criterion_7d_firefly_clamping(self):
         rng = np.random.default_rng(103)
         bounds = ParamBounds()
-        fa = FaState(alpha=25.0)  # huge kicks so raw moves leave the box constantly
+        alpha = 25.0  # huge kicks so raw moves leave the box constantly
         for _ in range(10_000):
             xi = ParamVector.from_array(bounds.lows + rng.random(5) * bounds.widths)
             xj = ParamVector.from_array(bounds.lows + rng.random(5) * bounds.widths)
-            moved = move(xi, xj, fa, float(rng.random() * 10), bounds, rng)
+            moved = move(xi, xj, alpha, float(rng.random() * 10), bounds, rng)
             assert bounds.contains(moved)
 
     def test_criterion_7e_alpha_decay_recurrence(self):
         for delta in (0.8, 0.9, 0.97, 1.0):
-            fa = FaState(alpha=2.3)
+            alpha = 2.3
             for t in range(1, 1001):
-                reduce_alpha(fa, delta)
-                assert fa.alpha == pytest.approx(2.3 * delta**t, rel=1e-12)
+                alpha = reduce_alpha(alpha, delta)
+                assert alpha == pytest.approx(2.3 * delta**t, rel=1e-12)
 
     def test_criterion_7f_fixed_seed_reproducibility(self, ulysses16):
         a = run_acs(ulysses16, AcsParams(), 50, np.random.default_rng(2024))

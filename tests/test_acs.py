@@ -1,8 +1,12 @@
+import weakref
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from acsfa.acs import (
     AcsParams,
+    colony,
     compute_tau0,
     construct_tour,
     global_update,
@@ -278,6 +282,54 @@ class TestConstructTour:
             r, s = order[k], order[(k + 1) % 4]
             assert tau[r, s] < 4.0  # pulled toward tau0, closing edge included
         assert tau[0, 2] == 4.0  # diagonal never traversed
+
+
+def colony_iterations(inst: TspInstance, count: int, seed: int = 0) -> list:
+    """(best, records) of a colony's first iterations; six ants with mixed settings."""
+    eta = heuristic_matrix(inst)
+    ants = [(eta**beta, q0, 0.1) for beta in (0.0, 2.0, 5.0) for q0 in (0.5, 0.95)]
+    return list(islice(colony(inst, np.random.default_rng(seed), 0.1, lambda: iter(ants)), count))
+
+
+class TestColony:
+    def test_records_ascend_by_ant_with_falling_lengths(self, ulysses16):
+        iterations = colony_iterations(ulysses16, 40)
+        lengths = []
+        for _, records in iterations:
+            ants = [k for k, _ in records]
+            assert ants == sorted(set(ants)) and all(0 <= k < 6 for k in ants)
+            lengths += [length for _, length in records]
+        assert len(lengths) > sum(1 for _, records in iterations if records) > 1
+        assert all(a > b for a, b in zip(lengths, lengths[1:]))
+
+    def test_best_never_rises(self, ulysses16):
+        bests = [best.length for best, _ in colony_iterations(ulysses16, 40, seed=1)]
+        assert all(a >= b for a, b in zip(bests, bests[1:]))
+
+    def test_last_record_is_the_best(self, ulysses16):
+        previous = None
+        for best, records in colony_iterations(ulysses16, 40, seed=2):
+            if records:
+                assert records[-1][1] == best.length
+            else:
+                assert best is previous
+            previous = best
+
+    def test_frees_each_matrix_before_pulling_the_next(self, ulysses16):
+        eta = heuristic_matrix(ulysses16)
+        refs = []
+        held = []
+
+        def ants():
+            for beta in (1.0, 2.0, 3.0):
+                held.append(bool(refs) and refs[-1]() is not None)
+                eta_pow = eta**beta
+                refs.append(weakref.ref(eta_pow))
+                yield eta_pow, 0.9, 0.1
+                del eta_pow
+
+        list(islice(colony(ulysses16, np.random.default_rng(0), 0.1, ants), 2))
+        assert held == [False] * 6
 
 
 class TestRunAcs:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from acsfa.firefly import (
     PARAM_NAMES,
-    FaState,
     ParamBounds,
     ParamVector,
     attractiveness,
@@ -101,76 +100,58 @@ class TestAttractiveness:
 
 class TestMove:
     def test_no_motion_when_colocated_and_alpha_zero(self):
-        fa = FaState()
-        fa.alpha = 0.0
         v = ParamVector(4.0, 0.7, 0.9, 3.0, 0.85)
-        assert move(v, v, fa, 2.0, BOUNDS, np.random.default_rng(0)) == v
+        assert move(v, v, 0.0, 2.0, BOUNDS, np.random.default_rng(0)) == v
 
     def test_full_attraction_lands_exactly(self):
-        fa = FaState()
-        fa.alpha = 0.0
-        got = move(LOW, HIGH, fa, 0.0, BOUNDS, np.random.default_rng(0))
+        got = move(LOW, HIGH, 0.0, 0.0, BOUNDS, np.random.default_rng(0))
         assert got == HIGH
 
     def test_half_attraction_reaches_midpoints(self):
         # gamma chosen so attractiveness at the corner distance is exactly 1/2
-        fa = FaState()
-        fa.alpha = 0.0
         gamma = math.log(2.0) / 5.0
-        got = move(LOW, HIGH, fa, gamma, BOUNDS, np.random.default_rng(0))
+        got = move(LOW, HIGH, 0.0, gamma, BOUNDS, np.random.default_rng(0))
         expected = (4.0, 0.75, 0.75, 5.0, 0.9)
         assert got.as_array() == pytest.approx(np.array(expected), abs=1e-12)
 
     def test_clamped_to_bounds(self):
-        fa = FaState(alpha=50.0)
         rng = np.random.default_rng(8)
         for _ in range(200):
-            got = move(LOW, HIGH, fa, 0.0, BOUNDS, rng)
+            got = move(LOW, HIGH, 50.0, 0.0, BOUNDS, rng)
             assert BOUNDS.contains(got)
 
     def test_kick_is_alpha_times_the_width(self):
         # colocated vectors with gamma 0: full attraction, then only the kick
-        fa = FaState(alpha=0.3)
         mid = ParamVector.from_array((BOUNDS.lows + BOUNDS.highs) / 2.0)
-        got = move(mid, mid, fa, 0.0, BOUNDS, np.random.default_rng(9))
+        got = move(mid, mid, 0.3, 0.0, BOUNDS, np.random.default_rng(9))
         u = np.random.default_rng(9).random(5)
         kick = (got.as_array() - mid.as_array()) / BOUNDS.widths
         assert kick == pytest.approx(0.3 * (u - 0.5), abs=1e-12)
 
     def test_deterministic_given_seed(self):
-        fa1, fa2 = FaState(), FaState()
-        a = move(LOW, HIGH, fa1, 1.0, BOUNDS, np.random.default_rng(42))
-        b = move(LOW, HIGH, fa2, 1.0, BOUNDS, np.random.default_rng(42))
+        a = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42))
+        b = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42))
         assert a == b
 
 
 class TestReduceAlpha:
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
-    def test_start_must_be_finite_and_positive(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            FaState(alpha=alpha)
-
     def test_identity_at_one(self):
-        fa = FaState(alpha=1.7)
-        reduce_alpha(fa, 1.0)
-        assert fa.alpha == 1.7
+        assert reduce_alpha(1.7, 1.0) == 1.7
 
     def test_direct_arithmetic(self):
-        fa = FaState(alpha=2.3)
-        reduce_alpha(fa, 0.9)
-        assert fa.alpha == pytest.approx(2.07)
+        assert reduce_alpha(2.3, 0.9) == pytest.approx(2.07)
 
     def test_recurrence_matches_power(self):
-        fa = FaState(alpha=2.3)
+        alpha = 2.3
         for _ in range(500):
-            reduce_alpha(fa, 0.9)
-        assert fa.alpha == pytest.approx(2.3 * 0.9**500, rel=1e-12)
+            alpha = reduce_alpha(alpha, 0.9)
+        assert alpha == pytest.approx(2.3 * 0.9**500, rel=1e-12)
 
     def test_out_of_range_delta(self):
         with pytest.raises(ValueError):
-            reduce_alpha(FaState(), 1.5)
+            reduce_alpha(2.3, 1.5)
         with pytest.raises(ValueError):
-            reduce_alpha(FaState(), -0.1)
+            reduce_alpha(2.3, -0.1)
 
 
 def random_vectors(rng, count):
@@ -182,43 +163,36 @@ class TestFireflyStep:
 
     def test_singleton_unchanged(self):
         v = ParamVector(4.0, 0.7, 0.9, 3.0, 0.85)
-        assert sweep([v], [0.5], FaState(), BOUNDS, np.random.default_rng(0)) == [v]
+        assert sweep([v], [0.5], 2.3, BOUNDS, np.random.default_rng(0)) == [v]
 
     def test_equal_brightness_no_motion(self):
-        fa = FaState()
-        fa.alpha = 0.0
         a = ParamVector(1.0, 0.6, 0.6, 2.0, 0.9)
         b = ParamVector(7.0, 0.9, 0.9, 8.0, 0.82)
-        assert sweep([a, b], [0.25, 0.25], fa, BOUNDS, np.random.default_rng(0)) == [a, b]
+        assert sweep([a, b], [0.25, 0.25], 0.0, BOUNDS, np.random.default_rng(0)) == [a, b]
 
     def test_dimmer_lands_on_brighter(self):
-        fa = FaState()
-        fa.alpha = 0.0
         dim = ParamVector(1.0, 0.6, 0.6, 0.0, 0.9)
         bright = ParamVector(7.0, 0.9, 0.9, 0.0, 0.82)  # its gamma 0 -> full pull
-        out = sweep([dim, bright], [0.1, 0.9], fa, BOUNDS, np.random.default_rng(0))
+        out = sweep([dim, bright], [0.1, 0.9], 0.0, BOUNDS, np.random.default_rng(0))
         assert out == [bright, bright]  # caller's order kept, dimmer moved onto the brighter
 
     def test_brightest_is_fixed_point_with_alpha_zero(self):
-        fa = FaState()
-        fa.alpha = 0.0
         rng = np.random.default_rng(3)
         pop = random_vectors(rng, 6)
         light = [float(b) for b in rng.random(6)]
         brightest = int(np.argmax(light))
-        out = sweep(pop, light, fa, BOUNDS, rng)
+        out = sweep(pop, light, 0.0, BOUNDS, rng)
         assert out[brightest] == pop[brightest]
 
     def test_all_results_within_bounds(self):
-        fa = FaState(alpha=5.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            out = sweep(random_vectors(rng, 5), [float(b) for b in rng.random(5)], fa, BOUNDS, rng)
+            out = sweep(random_vectors(rng, 5), [float(b) for b in rng.random(5)], 5.0, BOUNDS, rng)
             assert all(BOUNDS.contains(v) for v in out)
 
     def test_non_finite_brightness_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            sweep([LOW, HIGH], [0.5, float("nan")], FaState(), BOUNDS, np.random.default_rng(0))
+            sweep([LOW, HIGH], [0.5, float("nan")], 2.3, BOUNDS, np.random.default_rng(0))
 
 
 class TestParamVector:
@@ -243,7 +217,7 @@ def reference_distance(xi, xj, bounds) -> float:
     return float(math.sqrt(float((diff * diff).sum())))
 
 
-def reference_move(xi, xj, fa, gamma, bounds, rng) -> np.ndarray:
+def reference_move(xi, xj, alpha, gamma, bounds, rng) -> np.ndarray:
     """The elementwise array form of the firefly move that the float form replaced."""
     lows, highs = bounds.lows, bounds.highs
     widths = highs - lows
@@ -251,7 +225,7 @@ def reference_move(xi, xj, fa, gamma, bounds, rng) -> np.ndarray:
     r = reference_distance(xi, xj, bounds)
     b = math.exp(-gamma * r * r)
     attracted = t if b == 1.0 else a + b * (t - a)
-    x = attracted + fa.alpha * (rng.random(5) - 0.5) * widths
+    x = attracted + alpha * (rng.random(5) - 0.5) * widths
     return np.clip(x, lows, highs)
 
 
@@ -299,10 +273,9 @@ def boxes_and_points(draw):
 def test_move_matches_the_array_reference(case, gamma, alpha, seed):
     bounds, xi, xj = case
     assert param_distance(xi, xj, bounds) == reference_distance(xi, xj, bounds)
-    fa = FaState(alpha=alpha)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference_move(xi, xj, fa, gamma, bounds, ref_rng)
-    got = move(xi, xj, fa, gamma, bounds, rng)
+    expected = reference_move(xi, xj, alpha, gamma, bounds, ref_rng)
+    got = move(xi, xj, alpha, gamma, bounds, rng)
     assert np.array(got).tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

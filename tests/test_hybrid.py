@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acsfa.acs
 import acsfa.hybrid
 from acsfa.acs import local_update
 from acsfa.firefly import PARAM_NAMES, ParamBounds
@@ -49,13 +50,13 @@ class TestLocalDecay:
 class TestFireflyCoupling:
     def test_local_rule_reads_rho_as_persistence(self, ulysses16, monkeypatch):
         decays = []
-        real_construct = acsfa.hybrid.construct_tour
+        real_construct = acsfa.acs.construct_tour
 
         def spy(inst, tau, rng, start, **kwargs):
             decays.append(kwargs["rho"])
             return real_construct(inst, tau, rng, start, **kwargs)
 
-        monkeypatch.setattr(acsfa.hybrid, "construct_tour", spy)
+        monkeypatch.setattr(acsfa.acs, "construct_tour", spy)
         config = HybridConfig(iterations=5, m=4)
         run_acsfa(ulysses16, config, np.random.default_rng(0))
         assert len(decays) == 20
@@ -66,15 +67,15 @@ class TestFireflyCoupling:
         real_sweep = acsfa.hybrid.sweep
         real_reduce = acsfa.hybrid.reduce_alpha
 
-        def spy_sweep(vecs, light, fa, bounds, rng):
-            seen.append((list(light), fa.alpha))
-            moved = real_sweep(vecs, light, fa, bounds, rng)
+        def spy_sweep(vecs, light, alpha, bounds, rng):
+            seen.append((list(light), alpha))
+            moved = real_sweep(vecs, light, alpha, bounds, rng)
             seen[-1] += (moved[int(np.argmax(light))].delta,)
             return moved
 
-        def spy_reduce(fa, delta):
+        def spy_reduce(alpha, delta):
             seen[-1] += (delta,)
-            real_reduce(fa, delta)
+            return real_reduce(alpha, delta)
 
         monkeypatch.setattr(acsfa.hybrid, "sweep", spy_sweep)
         monkeypatch.setattr(acsfa.hybrid, "reduce_alpha", spy_reduce)
