@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
+from scipy.optimize import brentq
 from scipy.stats import studentized_range
 
 from acsfa.stats import (
@@ -245,6 +246,18 @@ class TestStudentizedRange:
             assert studentized_range_quantile(p, k, df) == pytest.approx(
                 float(studentized_range.ppf(p, k, df)), abs=1e-5
             )
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 22, 60])
+    def test_two_group_quantile_matches_the_t_oracle(self, df):
+        # the range of two normals is |Z1 - Z2|, so q = sqrt(2) |t_df| exactly
+        for p in (0.9, 0.95, 0.99, 0.999):
+            exact = math.sqrt(2.0) * float(special.stdtrit(df, (1.0 + p) / 2.0))
+            assert studentized_range_quantile(p, 2, df) == pytest.approx(exact, rel=1e-9)
+
+    def test_root_agrees_with_brentq(self):
+        for p, k, df in [(0.9, 3, 22), (0.95, 2, 1), (0.99, 4, 5), (0.999, 3, 60)]:
+            root = brentq(lambda q: studentized_range_cdf(q, k, df) - p, 1e-9, 1e4, xtol=1e-12)
+            assert studentized_range_quantile(p, k, df) == pytest.approx(root, abs=1e-9)
 
     def test_published_table_anchors(self):
         # classic 5% critical points: q(3, 20) = 3.58, q(3, 24) = 3.53
