@@ -249,7 +249,7 @@ class TestStudentizedRange:
 
     @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 22, 60])
     def test_two_group_quantile_matches_the_t_oracle(self, df):
-        # the range of two normals is |Z1 - Z2|, so q = sqrt(2) |t_df| exactly
+        # the range of two normals is |Z1 - Z2| = sqrt(2) |N(0, 1)|, so q = sqrt(2) |t_df|
         for p in (0.9, 0.95, 0.99, 0.999):
             exact = math.sqrt(2.0) * float(special.stdtrit(df, (1.0 + p) / 2.0))
             assert studentized_range_quantile(p, 2, df) == pytest.approx(exact, rel=1e-9)
