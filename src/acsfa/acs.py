@@ -74,16 +74,15 @@ def nearest_neighbor_tour(inst: TspInstance, start: int = 0) -> Tour:
         raise IndexError(f"start city {start} out of range for n={n}")
     d = inst.dist
     order = np.empty(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
+    # +inf at visited cities; adding it to a distance row is exact (int64 -> float64)
+    penalty = np.zeros(n)
     order[0] = start
-    visited[start] = True
+    penalty[start] = np.inf
     r = start
     for k in range(1, n):
-        row = d[r].astype(float)
-        row[visited] = np.inf
-        r = int(np.argmin(row))
+        r = int((d[r] + penalty).argmin())
         order[k] = r
-        visited[r] = True
+        penalty[r] = np.inf
     return Tour(order=tuple(int(c) for c in order), length=tour_length(inst, order))
 
 
@@ -110,6 +109,34 @@ def _inverse_distance(dist: np.ndarray) -> np.ndarray:
 def heuristic_matrix(inst: TspInstance) -> np.ndarray:
     """Inverse-distance attractiveness; zero-distance pairs count as distance 1."""
     return _inverse_distance(inst.dist)
+
+
+def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The heuristic's value per distance level and each pair's level.
+
+    ``table[index]`` equals :func:`heuristic_matrix`. When the largest
+    distance is below n * n the levels are 0..max and the index is
+    ``inst.dist`` itself; otherwise they are the distinct distances.
+    """
+    d = inst.dist
+    dmax = int(d.max())
+    if dmax + 1 <= d.size:
+        return _inverse_distance(np.arange(dmax + 1)), d
+    levels, index = np.unique(d, return_inverse=True)
+    return _inverse_distance(levels), index.reshape(d.shape)
+
+
+def heuristic_power(inst: TspInstance) -> Callable[[float], np.ndarray]:
+    """``beta -> heuristic_matrix(inst) ** beta``, one power per distance level.
+
+    Distances are integers, so the heuristic takes few distinct values
+    (1 328 against 10^6 pairs on a random n = 1000 instance in a
+    1000 x 1000 square). Each value is
+    raised by the same ufunc on the same double, so the gathered matrix has
+    the bytes of the full power.
+    """
+    table, index = _heuristic_levels(inst)
+    return lambda beta: (table**beta)[index]
 
 
 def _row_weights(tau_row: np.ndarray, eta_pow_row: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -297,7 +324,7 @@ def run_acs(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     t0 = time.perf_counter()
-    ant = (heuristic_matrix(inst) ** params.beta, params.q0, params.rho)
+    ant = (heuristic_power(inst)(params.beta), params.q0, params.rho)
     best: Tour | None = None
     trace: list[int] = []
     for best, _ in islice(colony(inst, rng, params.alpha, lambda: repeat(ant, params.m)), iterations):

@@ -202,15 +202,14 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _increasing_root(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of an increasing f with f(lo) < 0 <= f(hi), to within xtol.
+def _increasing_root(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> float:
+    """Root of an increasing f with flo = f(lo) < 0 <= fhi = f(hi), to within xtol.
 
     Illinois regula falsi: each step interpolates across the bracket, and an
     end kept twice in a row has its stored value halved, so both ends close
     in superlinearly rather than one end staying put as in plain false
     position.
     """
-    flo, fhi = f(lo), f(hi)
     kept = 0
     while hi - lo > xtol:
         x = lo - flo * (hi - lo) / (fhi - flo)
@@ -245,14 +244,22 @@ def studentized_range_quantile(p: float, k: int, df: int) -> float:
 # function, with no __wrapped__ for tracing tools to mistake for a patch
 @lru_cache
 def _quantile(p: float, k: int, df: int) -> float:
-    hi = 4.0
-    while studentized_range_cdf(hi, k, df) < p:
+    def f(q: float) -> float:
+        return studentized_range_cdf(q, k, df) - p
+
+    # the doubling shows f < 0 at each point it passes, so the root search
+    # starts on its last step [hi / 2, hi] with both values already known
+    lo, flo = 1e-9, None
+    hi, fhi = 4.0, f(4.0)
+    while fhi < 0.0:
+        lo, flo = hi, fhi
         hi *= 2.0
         if hi > 1e4:
             raise ValueError(
                 f"the studentized range quantile for p={p}, k={k}, df={df} lies beyond 1e4"
             )
-    return _increasing_root(lambda q: studentized_range_cdf(q, k, df) - p, 1e-9, hi, 1e-9)
+        fhi = f(hi)
+    return _increasing_root(f, lo, f(lo) if flo is None else flo, hi, fhi, 1e-9)
 
 
 def _letter(index: int) -> str:

@@ -3,14 +3,18 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acsfa.acs import (
     AcsParams,
+    _heuristic_levels,
     colony,
     compute_tau0,
     construct_tour,
     global_update,
     heuristic_matrix,
+    heuristic_power,
     init_pheromone,
     local_update,
     nearest_neighbor_tour,
@@ -19,7 +23,9 @@ from acsfa.acs import (
     transition_probabilities,
 )
 from acsfa.exact import brute_force
+from acsfa.firefly import ParamBounds
 from acsfa.tsplib import Tour, TspInstance, tour_length
+from conftest import random_euclidean
 
 # greedy tour length from city 0, frozen from an independently coded oracle
 EIL51_NN_LENGTH = 511
@@ -31,6 +37,33 @@ COINCIDENT5 = TspInstance(name="coincident5", dimension=5, metric="EUC_2D", coor
 def explicit(weights) -> TspInstance:
     w = np.asarray(weights)
     return TspInstance(name="w", dimension=len(w), metric="EXPLICIT", weights=w)
+
+
+def random_explicit(n: int, high: int, rng: np.random.Generator) -> TspInstance:
+    w = np.triu(rng.integers(0, high, (n, n), endpoint=True), 1)
+    return explicit(w + w.T)
+
+
+def grid_instance(n: int, side: int, rng: np.random.Generator) -> TspInstance:
+    """Integer points on a small grid: coincident points and tied distances abound."""
+    coords = rng.integers(0, side, (n, 2)).astype(float)
+    return TspInstance(name=f"grid{n}", dimension=n, metric="EUC_2D", coords=coords)
+
+
+def reference_nearest_neighbor_order(inst: TspInstance, start: int) -> tuple[int, ...]:
+    """The greedy loop with a float copy of each row and a boolean visited mask."""
+    n = inst.dimension
+    visited = np.zeros(n, dtype=bool)
+    visited[start] = True
+    order = [start]
+    r = start
+    for _ in range(n - 1):
+        row = inst.dist[r].astype(float)
+        row[visited] = np.inf
+        r = int(np.argmin(row))
+        order.append(r)
+        visited[r] = True
+    return tuple(order)
 
 
 class TestParams:
@@ -93,6 +126,18 @@ class TestNearestNeighbor:
             cur = best_c
         total += d[cur][0]
         assert total == nearest_neighbor_tour(eil51, 0).length
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_masked_copy_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 150))
+        if seed % 2:
+            inst = grid_instance(n, int(rng.integers(1, 12)), rng)
+        else:
+            inst = random_euclidean(n, rng)
+        for start in {0, n - 1, *(int(s) for s in rng.integers(n, size=3))}:
+            order = nearest_neighbor_tour(inst, start).order
+            assert order == reference_nearest_neighbor_order(inst, start)
 
 
 class TestTau0:
@@ -234,6 +279,66 @@ class TestGlobalUpdate:
             global_update(tau, Tour(order=perm, length=tour_length(eil51, perm)), AcsParams().alpha)
         assert np.array_equal(tau, tau.T)
         assert (tau > 0).all()
+
+
+BETAS = st.one_of(
+    st.sampled_from([0.0, 1.0, *ParamBounds().beta]),
+    st.integers(0, 10).map(float),
+    st.floats(0.0, 10.0),
+)
+
+
+@st.composite
+def heuristic_instances(draw) -> TspInstance:
+    """Instances on both level paths: few distinct distances, or too many for a range."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["euc", "euc_wide", "grid", "coincident", "explicit"]))
+    if kind == "euc":
+        return random_euclidean(n, rng)
+    if kind == "euc_wide":
+        return random_euclidean(n, rng, side=1e7)
+    if kind == "grid":
+        return grid_instance(n, 3, rng)
+    if kind == "coincident":
+        return TspInstance(name="c", dimension=n, metric="EUC_2D", coords=np.zeros((n, 2)))
+    return random_explicit(n, draw(st.sampled_from([5, 10**4, 10**12])), rng)
+
+
+class TestHeuristicPower:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_bytes_as_the_full_power(self, data, ulysses16, eil51):
+        inst = data.draw(st.one_of(st.sampled_from([ulysses16, eil51]), heuristic_instances()))
+        beta = data.draw(BETAS)
+        expected = heuristic_matrix(inst) ** beta
+        got = heuristic_power(inst)(beta)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0, 3.7, 8.0])
+    def test_same_bytes_at_n_300(self, beta):
+        inst = random_euclidean(300, np.random.default_rng(3))
+        assert heuristic_power(inst)(beta).tobytes() == (heuristic_matrix(inst) ** beta).tobytes()
+
+    def test_range_levels_index_the_distances_without_a_copy(self, eil51):
+        table, index = _heuristic_levels(eil51)
+        assert index is eil51.dist
+        assert table.size == eil51.dist.max() + 1
+
+    @pytest.mark.parametrize("name", ["ulysses16", "wide", "explicit"])
+    def test_distinct_levels_beyond_the_range(self, name, ulysses16):
+        rng = np.random.default_rng(5)
+        inst = {
+            "ulysses16": ulysses16,
+            "wide": random_euclidean(20, rng, side=1e7),
+            "explicit": random_explicit(20, 10**12, rng),
+        }[name]
+        table, index = _heuristic_levels(inst)
+        assert inst.dist.max() + 1 > inst.dist.size
+        assert table.size == np.unique(inst.dist).size
+        assert index.shape == inst.dist.shape
+        assert np.array_equal(table[index], heuristic_matrix(inst))
 
 
 def ant_settings(inst: TspInstance, beta: float = 2.0, **values) -> dict:

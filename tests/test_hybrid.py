@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from acsfa.acs import local_update
 from acsfa.firefly import PARAM_NAMES, ParamBounds
 from acsfa.hybrid import HybridConfig, brightness, init_population, local_decay, run_acsfa
 from acsfa.tsplib import TspInstance, tour_length
+from conftest import random_euclidean
 
 
 class TestBrightness:
@@ -242,3 +245,20 @@ class TestRunAcsfa:
         _, trace = run_acsfa(tiny3, config, np.random.default_rng(7))
         assert (trace.mins >= config.bounds.lows).all()
         assert (trace.maxs <= config.bounds.highs).all()
+
+    def test_holds_the_pheromone_and_one_ant_matrix(self):
+        # n x n float matrices alive at once: the pheromone and the current
+        # ant's powered heuristic, with a half-matrix margin for the rest
+        n = 300
+        inst = random_euclidean(n, np.random.default_rng(0))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_acsfa(inst, HybridConfig(iterations=2, m=3), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8

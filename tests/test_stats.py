@@ -6,6 +6,7 @@ from scipy import integrate, special
 from scipy.optimize import brentq
 from scipy.stats import studentized_range
 
+from acsfa import stats
 from acsfa.stats import (
     ResponseMatrix,
     error_matrix,
@@ -258,6 +259,27 @@ class TestStudentizedRange:
         for p, k, df in [(0.9, 3, 22), (0.95, 2, 1), (0.99, 4, 5), (0.999, 3, 60)]:
             root = brentq(lambda q: studentized_range_cdf(q, k, df) - p, 1e-9, 1e4, xtol=1e-12)
             assert studentized_range_quantile(p, k, df) == pytest.approx(root, abs=1e-9)
+
+    def test_root_search_starts_on_the_last_doubling_step(self, monkeypatch):
+        # at df = 1, p = 0.999 the doubling evaluates q = 4, 8, ..., 1024; the
+        # root search then starts on [512, 1024] with both values known
+        cdf = stats.studentized_range_cdf
+        points = []
+
+        def counted(q, k, df):
+            points.append(q)
+            return cdf(q, k, df)
+
+        monkeypatch.setattr(stats, "studentized_range_cdf", counted)
+        stats._quantile.cache_clear()
+        try:
+            q = studentized_range_quantile(0.999, 2, 1)
+        finally:
+            stats._quantile.cache_clear()
+        assert points[:9] == [4.0 * 2**i for i in range(9)]
+        assert all(512.0 < x < 1024.0 for x in points[9:])
+        assert len(points) <= 17
+        assert q == pytest.approx(900.3155756381, abs=1e-9)
 
     def test_published_table_anchors(self):
         # classic 5% critical points: q(3, 20) = 3.58, q(3, 24) = 3.53
