@@ -129,11 +129,11 @@ def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
 def heuristic_power(inst: TspInstance) -> Callable[[float], np.ndarray]:
     """``beta -> heuristic_matrix(inst) ** beta``, one power per distance level.
 
-    Distances are integers, so the heuristic takes few distinct values
-    (1 328 against 10^6 pairs on a random n = 1000 instance in a
-    1000 x 1000 square). Each value is
-    raised by the same ufunc on the same double, so the gathered matrix has
-    the bytes of the full power.
+    Distances are integers, so the heuristic takes few distinct values: on
+    a random n = 1000 instance in a 1000 x 1000 square the table has 1 379
+    levels (0..max) against 10^6 pairs. Each value is raised by the same
+    ufunc on the same double, so the gathered matrix has the bytes of the
+    full power.
     """
     table, index = _heuristic_levels(inst)
     return lambda beta: (table**beta)[index]
