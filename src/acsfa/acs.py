@@ -169,15 +169,6 @@ def _choose(w: np.ndarray, avail: np.ndarray, q0: float, rng: np.random.Generato
     return int(J[min(int(rng.random() * J.size), J.size - 1)])
 
 
-def _weights_at(r: int, unvisited, tau: np.ndarray, inst: TspInstance, beta: float):
-    """Masked weight row of city r and the mask (1.0 at the unvisited cities)."""
-    avail = np.zeros(inst.dimension)
-    avail[np.asarray(list(unvisited), dtype=np.int64)] = 1.0
-    if not avail.any():
-        raise ValueError("no unvisited cities to choose from")
-    return _row_weights(tau[r], _inverse_distance(inst.dist[r]) ** beta, avail), avail
-
-
 def transition_probabilities(
     r: int,
     unvisited,
@@ -186,25 +177,16 @@ def transition_probabilities(
     beta: float,
 ) -> np.ndarray:
     """Normalized choice distribution over the unvisited cities, sorted by index."""
-    w, avail = _weights_at(r, unvisited, tau, inst, beta)
+    avail = np.zeros(inst.dimension)
+    avail[np.asarray(list(unvisited), dtype=np.int64)] = 1.0
     J = np.flatnonzero(avail)
+    if not J.size:
+        raise ValueError("no unvisited cities to choose from")
+    w = _row_weights(tau[r], _inverse_distance(inst.dist[r]) ** beta, avail)
     total = w.sum()
     if not 0.0 < total < math.inf:
         return np.full(J.size, 1.0 / J.size)
     return w[J] / total
-
-
-def select_next_city(
-    r: int,
-    unvisited,
-    tau: np.ndarray,
-    inst: TspInstance,
-    beta: float,
-    q0: float,
-    rng: np.random.Generator,
-) -> int:
-    """One application of the pseudo-random-proportional transition rule."""
-    return _choose(*_weights_at(r, unvisited, tau, inst, beta), q0, rng)
 
 
 def _evaporate(tau: np.ndarray, r: int, s: int, keep: float, add: float) -> None:

@@ -72,12 +72,16 @@ class ExperimentConfig:
             raise ValueError(f"iterations: must be >= 0, got {self.iterations}")
         if self.ants < 1:
             raise ValueError(f"ants: must be >= 1, got {self.ants}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
         if self.seeds is not None:
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
             if len(self.seeds) != self.repetitions:
                 raise ValueError(
                     f"seeds: got {len(self.seeds)} seeds for {self.repetitions} repetitions"
                 )
+            if min(self.seeds) < 0:
+                raise ValueError(f"seeds: must be >= 0, got {min(self.seeds)}")
         if not 0.0 < self.acs_rho < 1.0:
             raise ValueError(f"acs_rho: must lie in (0, 1), got {self.acs_rho}")
         if not 0.0 <= self.acs_q0 <= 1.0:
@@ -158,7 +162,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         elif key == "algorithms":
             kwargs["algorithms"] = tuple(a.strip() for a in value.split(",") if a.strip())
         elif key == "seeds":
-            kwargs["seeds"] = tuple(int(s) for s in value.replace(",", " ").split())
+            try:
+                kwargs["seeds"] = tuple(int(s) for s in value.replace(",", " ").split())
+            except ValueError:
+                raise ValueError(f"seeds: expected integers, got {value!r}") from None
         elif key == "output_dir":
             kwargs["output_dir"] = str(base_dir / value)
         elif key in _INT_KEYS:
@@ -211,13 +218,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, instance, repetition) cell and aggregate.
 
-    An instance that fails to parse is reported and skipped; the rest of the
-    experiment still runs.
+    An instance that fails to parse, or whose name repeats an earlier
+    instance's (records, traces and exported files are keyed by name), is
+    reported and skipped; the rest of the experiment still runs.
     """
     summaries: list[ExperimentSummary] = []
     records: list[RunRecord] = []
     traces: dict[tuple[str, str, int], ParameterTrace] = {}
     failures: list[InstanceFailure] = []
+    paths_by_name: dict[str, str] = {}
 
     for path in config.instances:
         try:
@@ -225,6 +234,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except (OSError, TsplibParseError) as exc:
             failures.append(InstanceFailure(path=path, error=str(exc)))
             continue
+        if inst.name in paths_by_name:
+            error = f"instance name {inst.name!r} repeats that of {paths_by_name[inst.name]}"
+            failures.append(InstanceFailure(path=path, error=error))
+            continue
+        paths_by_name[inst.name] = path
         for algo in config.algorithms:
             cell_records = []
             for rep in range(config.repetitions):

@@ -1,8 +1,8 @@
 """Exact TSP solvers for small instances, used as ground truth in tests.
 
 Both solvers fix city 0 as the tour start, which is free for a cyclic
-objective. The caps keep desk-scale runtimes under a minute; they can be
-raised explicitly at the caller's own risk.
+objective. The caps keep desk-scale runtimes under a minute; held_karp's
+can be raised explicitly at the caller's own risk.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ BRUTE_FORCE_MAX = 10
 HELD_KARP_MAX = 18
 
 
-def brute_force(inst: TspInstance, max_cities: int = BRUTE_FORCE_MAX) -> Tour:
+def brute_force(inst: TspInstance) -> Tour:
     """Enumerate all (n-1)!/2 distinct cycles and return an optimal tour."""
     n = inst.dimension
-    if n > max_cities:
-        raise ValueError(f"brute force enumeration capped at {max_cities} cities, got {n}")
+    if n > BRUTE_FORCE_MAX:
+        raise ValueError(f"brute force enumeration capped at {BRUTE_FORCE_MAX} cities, got {n}")
     d = inst.dist.tolist()
     d0 = d[0]
     best_len: int | None = None

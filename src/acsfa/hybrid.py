@@ -77,13 +77,6 @@ class ParameterTrace:
         return self.means.shape[0]
 
 
-def brightness(length: int) -> float:
-    """Firefly brightness of a record tour: the inverse of its length."""
-    if length < 1:
-        raise ValueError(f"tour length must be a positive integer, got {length}")
-    return 1.0 / length
-
-
 def local_decay(rho: float, m: int) -> float:
     """Per-crossing decay that leaves the fraction rho after m crossings."""
     return 1.0 - rho ** (1.0 / m)
@@ -138,7 +131,7 @@ def run_acsfa(
     brightest = 0
     for it, (best, records) in zip(range(config.iterations), colony(inst, rng, config.alpha, ants)):
         for k, length in records:
-            light[k] = brightness(max(length, 1))  # zero-length tours only on degenerate data
+            light[k] = 1.0 / max(length, 1)  # zero-length tours only on degenerate data
         pop = sweep(pop, light, alpha, config.bounds, rng)
         brightest = int(np.argmax(light))  # the brightest firefly never moved
         alpha = reduce_alpha(alpha, pop[brightest].delta)

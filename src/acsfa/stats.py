@@ -247,9 +247,10 @@ def _quantile(p: float, k: int, df: int) -> float:
     def f(q: float) -> float:
         return studentized_range_cdf(q, k, df) - p
 
-    # the doubling shows f < 0 at each point it passes, so the root search
+    # the CDF is exactly 0 at q = 0, so f(0) = -p costs no evaluation; the
+    # doubling shows f < 0 at each point it passes, so the root search
     # starts on its last step [hi / 2, hi] with both values already known
-    lo, flo = 1e-9, None
+    lo, flo = 0.0, -p
     hi, fhi = 4.0, f(4.0)
     while fhi < 0.0:
         lo, flo = hi, fhi
@@ -259,7 +260,7 @@ def _quantile(p: float, k: int, df: int) -> float:
                 f"the studentized range quantile for p={p}, k={k}, df={df} lies beyond 1e4"
             )
         fhi = f(hi)
-    return _increasing_root(f, lo, f(lo) if flo is None else flo, hi, fhi, 1e-9)
+    return _increasing_root(f, lo, flo, hi, fhi, 1e-9)
 
 
 def _letter(index: int) -> str:

@@ -104,14 +104,6 @@ class TspInstance:
         return self._dist  # type: ignore[attr-defined]
 
 
-def distance(inst: TspInstance, i: int, j: int) -> int:
-    """Integer edge cost between cities ``i`` and ``j``."""
-    n = inst.dimension
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"city index out of range for n={n}: ({i}, {j})")
-    return int(inst.dist[i, j])
-
-
 def tour_length(inst: TspInstance, order) -> int:
     """Cyclic tour length including the closing edge.
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from acsfa.acs import (
     AcsParams,
+    _choose,
     _heuristic_levels,
+    _row_weights,
     colony,
     compute_tau0,
     construct_tour,
@@ -19,7 +21,6 @@ from acsfa.acs import (
     local_update,
     nearest_neighbor_tour,
     run_acs,
-    select_next_city,
     transition_probabilities,
 )
 from acsfa.exact import brute_force
@@ -191,19 +192,29 @@ class TestTransitionProbabilities:
             transition_probabilities(0, [], init_pheromone(3, 0.5), tiny3, 2.0)
 
 
+def choose_next(r, unvisited, tau, inst, beta, q0, rng) -> int:
+    """One pseudo-random-proportional choice through construct_tour's row kernel."""
+    avail = np.zeros(inst.dimension)
+    avail[list(unvisited)] = 1.0
+    eta_pow = heuristic_matrix(inst)[r] ** beta
+    return _choose(_row_weights(tau[r], eta_pow, avail), avail, q0, rng)
+
+
 class TestSelectNextCity:
+    """The transition rule as construct_tour applies it: _choose over _row_weights."""
+
     def test_pure_exploitation_takes_argmax(self):
         inst = explicit([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         tau = init_pheromone(4, 1.0)
         tau[0, 2] = tau[2, 0] = 5.0
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert select_next_city(0, [1, 2, 3], tau, inst, 0.0, 1.0, rng) == 2
+            assert choose_next(0, [1, 2, 3], tau, inst, 0.0, 1.0, rng) == 2
 
     def test_exploitation_ties_break_low_index(self):
         inst = explicit([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         tau = init_pheromone(4, 1.0)
-        got = select_next_city(0, [3, 1, 2], tau, inst, 0.0, 1.0, np.random.default_rng(0))
+        got = choose_next(0, [3, 1, 2], tau, inst, 0.0, 1.0, np.random.default_rng(0))
         assert got == 1
 
     def test_sampling_uniform_frequencies(self):
@@ -214,14 +225,14 @@ class TestSelectNextCity:
         counts = {1: 0, 2: 0, 3: 0}
         draws = 10**5
         for _ in range(draws):
-            counts[select_next_city(0, [1, 2, 3], tau, inst, 0.0, 0.0, rng)] += 1
+            counts[choose_next(0, [1, 2, 3], tau, inst, 0.0, 0.0, rng)] += 1
         for city in counts:
             assert counts[city] / draws == pytest.approx(1.0 / 3.0, abs=0.02 / 3.0)
 
     def test_single_candidate_any_q(self, tiny3):
         tau = init_pheromone(3, 0.5)
         for seed in range(5):
-            got = select_next_city(0, [1], tau, tiny3, 2.0, 0.5, np.random.default_rng(seed))
+            got = choose_next(0, [1], tau, tiny3, 2.0, 0.5, np.random.default_rng(seed))
             assert got == 1
 
 

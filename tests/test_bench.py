@@ -15,6 +15,7 @@ from acsfa.bench import (
 )
 from acsfa.firefly import PARAM_NAMES, ParamBounds
 from acsfa.tsplib import format_instance
+from conftest import random_euclidean
 
 MINI_INSTANCE = """\
 NAME : mini5
@@ -131,6 +132,26 @@ output_dir = results
         config = load_config(config_path)
         assert config.instances == (str(mini_path),)
 
+    @pytest.mark.parametrize(
+        "key, line, kwargs",
+        [
+            ("base_seed", "base_seed = -1", {"base_seed": -1}),
+            ("seeds", "repetitions = 2\nseeds = 1, -2", {"repetitions": 2, "seeds": (1, -2)}),
+        ],
+        ids=["base_seed", "seeds"],
+    )
+    def test_negative_seed_rejected(self, mini_path, key, line, kwargs):
+        # numpy rejects a negative seed only when its cell runs, after the
+        # earlier cells have spent their compute
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            parse_config(f"instances = {mini_path}\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ExperimentConfig(instances=(str(mini_path),), **kwargs)
+
+    def test_non_integer_seed_names_the_key(self, mini_path):
+        with pytest.raises(ValueError, match="^seeds: "):
+            parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 1 x\n")
+
     def test_seed_for(self, mini_path):
         config = parse_config(f"instances = {mini_path}\nbase_seed = 100\n")
         assert [config.seed_for(i) for i in range(3)] == [100, 101, 102]
@@ -212,6 +233,30 @@ class TestRunExperiment:
         assert len(result.failures) == 1
         assert result.failures[0].path == str(bad)
         assert {s.instance for s in result.summaries} == {"mini5"}
+
+
+    def test_repeated_instance_name_is_skipped(self, mini_path, tmp_path):
+        # runs, traces and the best matrix are keyed by instance name, so a
+        # second file with the same NAME would overwrite the first's results
+        first, second = tmp_path / "a.tsp", tmp_path / "b.tsp"
+        first.write_text(format_instance(random_euclidean(12, np.random.default_rng(1))))
+        second.write_text(format_instance(random_euclidean(12, np.random.default_rng(2))))
+        config = ExperimentConfig(
+            instances=(str(first), str(mini_path), str(second)),
+            repetitions=2,
+            iterations=2,
+            ants=2,
+            output_dir=str(tmp_path / "o"),
+        )
+        result = run_experiment(config)
+        assert len(result.failures) == 1
+        assert result.failures[0].path == str(second)
+        assert str(first) in result.failures[0].error
+        assert len(result.records) == 8
+        assert len(result.traces) == 4
+        assert best_length_matrix(result).blocks == ("random12", "mini5")
+        export(result)
+        assert len(list((tmp_path / "o" / "runs").iterdir())) == len(result.records)
 
 
 def format_summary_without_time(result):

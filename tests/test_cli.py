@@ -151,6 +151,16 @@ class TestBench:
         assert main(["bench", str(config)]) == 2
         assert "instances" in capsys.readouterr().err
 
+    def test_negative_seed_fails_before_any_cell(self, mini_path, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"instances = {mini_path.name}\nrepetitions = 2\niterations = 1\n"
+            "seeds = 1, -2\noutput_dir = out\n"
+        )
+        assert main(["bench", str(config)]) == 2
+        assert "seeds: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_all_instances_failing_is_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsp"
         bad.write_text("DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n")

@@ -9,25 +9,9 @@ import acsfa.acs
 import acsfa.hybrid
 from acsfa.acs import local_update
 from acsfa.firefly import PARAM_NAMES, ParamBounds
-from acsfa.hybrid import HybridConfig, brightness, init_population, local_decay, run_acsfa
+from acsfa.hybrid import HybridConfig, init_population, local_decay, run_acsfa
 from acsfa.tsplib import TspInstance, tour_length
 from conftest import random_euclidean
-
-
-class TestBrightness:
-    def test_direct_value(self):
-        assert brightness(2) == 0.5
-
-    def test_strictly_decreasing_in_length(self):
-        assert brightness(10) > brightness(11)
-        assert brightness(426) > brightness(427)
-
-    def test_equal_lengths_equal_brightness(self):
-        assert brightness(437) == brightness(437)
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            brightness(0)
 
 
 class TestLocalDecay:
@@ -91,9 +75,9 @@ class TestFireflyCoupling:
             lit = [b for b in light if b > 0.0]
             # the brightest firefly is the ant holding the global best; the
             # others shine only with records of their own, all distinct
-            assert max(light) == brightness(trace[it])
+            assert max(light) == 1.0 / trace[it]
             assert len(set(lit)) == len(lit)
-            assert all(b <= brightness(trace[it]) for b in lit)
+            assert all(b <= 1.0 / trace[it] for b in lit)
             # one shrink per iteration, by the brightest firefly's delta
             assert shrink == brightest_delta
             if it + 1 < len(seen):

@@ -281,6 +281,28 @@ class TestStudentizedRange:
         assert len(points) <= 17
         assert q == pytest.approx(900.3155756381, abs=1e-9)
 
+    def test_root_search_below_the_first_doubling_starts_at_zero(self, monkeypatch):
+        # the 0.9 quantile at k = 3, df = 22 lies below 4, so the doubling
+        # stops at once and the search runs on [0, 4], where f(0) = -p needs
+        # no CDF evaluation
+        cdf = stats.studentized_range_cdf
+        points = []
+
+        def counted(q, k, df):
+            points.append(q)
+            return cdf(q, k, df)
+
+        monkeypatch.setattr(stats, "studentized_range_cdf", counted)
+        stats._quantile.cache_clear()
+        try:
+            q = studentized_range_quantile(0.9, 3, 22)
+        finally:
+            stats._quantile.cache_clear()
+        assert points[0] == 4.0
+        assert all(0.0 < x < 4.0 for x in points[1:])
+        assert len(points) <= 11
+        assert cdf(q, 3, 22) == pytest.approx(0.9, abs=1e-9)
+
     def test_published_table_anchors(self):
         # classic 5% critical points: q(3, 20) = 3.58, q(3, 24) = 3.53
         assert studentized_range_quantile(0.95, 3, 20) == pytest.approx(3.58, abs=0.005)

@@ -4,7 +4,6 @@ import pytest
 from acsfa.tsplib import (
     TspInstance,
     TsplibParseError,
-    distance,
     format_instance,
     parse_instance,
     tour_length,
@@ -75,8 +74,8 @@ class TestParse:
     def test_explicit_full_matrix(self):
         inst = parse_instance(EXPLICIT_FULL)
         assert inst.metric == "EXPLICIT"
-        assert distance(inst, 0, 3) == 6
-        assert distance(inst, 2, 3) == 3
+        assert inst.dist[0, 3] == 6
+        assert inst.dist[2, 3] == 3
 
     def test_explicit_upper_row(self):
         text = """\
@@ -151,21 +150,17 @@ class TestInstanceValidation:
 class TestDistance:
     def test_three_four_five_triangle(self):
         inst = parse_instance(make_coord_file([(0, 0), (3, 4), (10, 10)]))
-        assert distance(inst, 0, 1) == 5
+        assert inst.dist[0, 1] == 5
 
     def test_zero_diagonal(self, eil51):
         for i in (0, 7, 50):
-            assert distance(eil51, i, i) == 0
+            assert eil51.dist[i, i] == 0
 
     def test_symmetry(self, eil51):
         rng = np.random.default_rng(5)
         for _ in range(100):
             i, j = rng.integers(51, size=2)
-            assert distance(eil51, int(i), int(j)) == distance(eil51, int(j), int(i))
-
-    def test_index_out_of_range(self, tiny3):
-        with pytest.raises(IndexError):
-            distance(tiny3, 0, 3)
+            assert eil51.dist[i, j] == eil51.dist[j, i]
 
     def test_euclidean_rounding_within_half(self):
         rng = np.random.default_rng(17)
@@ -174,7 +169,7 @@ class TestDistance:
         for _ in range(200):
             i, j = rng.integers(30, size=2)
             true = float(np.hypot(*(coords[int(i)] - coords[int(j)])))
-            assert abs(distance(inst, int(i), int(j)) - true) <= 0.5
+            assert abs(inst.dist[i, j] - true) <= 0.5
 
     def test_geo_known_tour(self, ulysses16):
         # optimal visiting order; 6859 is the published optimum for this instance
