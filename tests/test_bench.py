@@ -234,7 +234,6 @@ class TestRunExperiment:
         assert result.failures[0].path == str(bad)
         assert {s.instance for s in result.summaries} == {"mini5"}
 
-
     def test_repeated_instance_name_is_skipped(self, mini_path, tmp_path):
         # runs, traces and the best matrix are keyed by instance name, so a
         # second file with the same NAME would overwrite the first's results
