@@ -82,6 +82,9 @@ class ExperimentConfig:
                 )
             if min(self.seeds) < 0:
                 raise ValueError(f"seeds: must be >= 0, got {min(self.seeds)}")
+            repeated = next((s for k, s in enumerate(self.seeds) if s in self.seeds[:k]), None)
+            if repeated is not None:
+                raise ValueError(f"seeds: seed {repeated} is repeated")
         if not 0.0 < self.acs_rho < 1.0:
             raise ValueError(f"acs_rho: must lie in (0, 1), got {self.acs_rho}")
         if not 0.0 <= self.acs_q0 <= 1.0:

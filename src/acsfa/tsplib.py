@@ -22,6 +22,14 @@ EXPLICIT_FORMATS = ("FULL_MATRIX", "UPPER_ROW", "LOWER_DIAG_ROW")
 _GEO_PI = 3.141592
 _GEO_RADIUS = 6378.388
 
+# Rows per block when a coordinate distance matrix is built: the float
+# temporaries stay at a few (_BLOCK_ROWS, n) arrays whatever n is.
+_BLOCK_ROWS = 64
+
+# EUC_2D coordinates up to this magnitude keep every distance, at most
+# 2**62.5, inside int64.
+_EUC_2D_MAX_COORD = 2.0**61
+
 # Header keys we understand but do not need.
 _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE", "CAPACITY"}
 
@@ -31,9 +39,21 @@ class TsplibParseError(ValueError):
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    return np.floor(d + 0.5).astype(np.int64)  # nint()
+    # nint(sqrt(dx*dx + dy*dy)), one row block and one coordinate plane at a time.
+    n = len(coords)
+    x, y = coords[:, 0], coords[:, 1]
+    d = np.empty((n, n), dtype=np.int64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        dx = x[lo:hi, None] - x
+        dy = y[lo:hi, None] - y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        dx += 0.5
+        d[lo:hi] = np.floor(dx, out=dx)  # nint()
+    return d
 
 
 def _geo_matrix(coords: np.ndarray) -> np.ndarray:
@@ -42,11 +62,15 @@ def _geo_matrix(coords: np.ndarray) -> np.ndarray:
     minutes = coords - deg
     rad = _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
     lat, lon = rad[:, 0], rad[:, 1]
-    q1 = np.cos(lon[:, None] - lon[None, :])
-    q2 = np.cos(lat[:, None] - lat[None, :])
-    q3 = np.cos(lat[:, None] + lat[None, :])
-    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
-    d = (_GEO_RADIUS * np.arccos(arg) + 1.0).astype(np.int64)  # truncate
+    n = len(coords)
+    d = np.empty((n, n), dtype=np.int64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        q1 = np.cos(lon[lo:hi, None] - lon[None, :])
+        q2 = np.cos(lat[lo:hi, None] - lat[None, :])
+        q3 = np.cos(lat[lo:hi, None] + lat[None, :])
+        arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+        d[lo:hi] = _GEO_RADIUS * np.arccos(arg) + 1.0  # truncate
     np.fill_diagonal(d, 0)
     return d
 
@@ -74,7 +98,10 @@ class TspInstance:
         if self.metric == "EXPLICIT":
             if self.weights is None or self.coords is not None:
                 raise ValueError("EXPLICIT instances carry a weight matrix and no coordinates")
-            w = np.asarray(self.weights, dtype=np.int64)
+            w = np.asarray(self.weights)
+            if w.dtype.kind == "f" and not ((w == np.round(w)) & (np.abs(w) < 2.0**63)).all():
+                raise ValueError("edge weights must be finite integers within int64")
+            w = np.asarray(w, dtype=np.int64)
             if w.shape != (n, n):
                 raise ValueError(f"weight matrix shape {w.shape} does not match dimension {n}")
             if (w < 0).any():
@@ -92,6 +119,10 @@ class TspInstance:
             c = np.asarray(self.coords, dtype=float)
             if c.shape != (n, 2):
                 raise ValueError(f"coordinate array shape {c.shape} does not match dimension {n}")
+            if not np.isfinite(c).all():
+                raise ValueError("coordinates must be finite")
+            if self.metric == "EUC_2D" and (np.abs(c) > _EUC_2D_MAX_COORD).any():
+                raise ValueError("EUC_2D coordinates must lie within +-2**61 to keep distances in int64")
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
             dist = _euclidean_matrix(c) if self.metric == "EUC_2D" else _geo_matrix(c)
@@ -210,13 +241,10 @@ def parse_instance(text: str) -> TspInstance:
                 "UPPER_ROW": n * (n - 1) // 2,
                 "LOWER_DIAG_ROW": n * (n + 1) // 2,
             }
-            start_line = i
             values, i = read_numbers(i + 1, counts[fmt], f"EDGE_WEIGHT_SECTION ({fmt})")
+            # TspInstance rejects non-integer weights and converts to int64.
             flat = np.asarray(values)
-            if (flat != np.round(flat)).any():
-                raise fail(start_line, "EDGE_WEIGHT_SECTION contains non-integer weights")
-            flat = flat.astype(np.int64)
-            mat = np.zeros((n, n), dtype=np.int64)
+            mat = np.zeros((n, n))
             if fmt == "FULL_MATRIX":
                 mat = flat.reshape(n, n)
             elif fmt == "UPPER_ROW":

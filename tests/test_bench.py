@@ -148,6 +148,16 @@ output_dir = results
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(instances=(str(mini_path),), **kwargs)
 
+    def test_repeated_seed_rejected(self, mini_path):
+        # a repeated seed replays the same run: export would overwrite its
+        # run file and the summary would average identical runs
+        with pytest.raises(ValueError, match="^seeds: seed 4 is repeated"):
+            ExperimentConfig(instances=(str(mini_path),), repetitions=3, seeds=(4, 9, 4))
+        config_path = mini_path.parent / "exp.cfg"
+        config_path.write_text(f"instances = {mini_path.name}\nrepetitions = 2\nseeds = 1, 1\n")
+        with pytest.raises(ValueError, match="^seeds: seed 1 is repeated"):
+            load_config(config_path)
+
     def test_non_integer_seed_names_the_key(self, mini_path):
         with pytest.raises(ValueError, match="^seeds: "):
             parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 1 x\n")

@@ -1,6 +1,13 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acsfa import tsplib
 from acsfa.tsplib import (
     TspInstance,
     TsplibParseError,
@@ -145,6 +152,147 @@ class TestInstanceValidation:
         w = np.array([[1, 1, 2], [1, 0, 3], [2, 3, 0]])
         with pytest.raises(ValueError, match="diagonal"):
             TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w)
+
+
+class TestBadInputsRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("metric", ["EUC_2D", "GEO"])
+    def test_non_finite_coordinates(self, metric, bad):
+        coords = [[0.0, 0.0], [1.0, bad], [2.0, 2.0]]
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            TspInstance(name="x", dimension=3, metric=metric, coords=coords)
+
+    def test_nan_coordinate_line_is_a_parse_error(self):
+        text = make_coord_file([(0, 0), (1, "nan"), (2, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TsplibParseError, match="coordinates must be finite"):
+                parse_instance(text)
+
+    def test_euc_2d_coordinates_beyond_int64_distances(self):
+        limit = 2.0**61
+        with pytest.raises(ValueError, match="2\\*\\*61"):
+            TspInstance(
+                name="x",
+                dimension=3,
+                metric="EUC_2D",
+                coords=[[0.0, 0.0], [np.nextafter(limit, math.inf), 0.0], [1.0, 1.0]],
+            )
+        # the limit itself still fits: the longest distance is 2**62.5
+        inst = TspInstance(
+            name="x", dimension=3, metric="EUC_2D", coords=[[-limit, -limit], [limit, limit], [0.0, 0.0]]
+        )
+        assert inst.dist[0, 1] == math.floor(math.hypot(2.0**62, 2.0**62) + 0.5)
+        assert (inst.dist >= 0).all()
+
+    def test_non_integer_explicit_weights(self):
+        w = [[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]]
+        with pytest.raises(ValueError, match="finite integers"):
+            TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w)
+
+    def test_non_integer_weight_line_is_a_parse_error(self):
+        text = EXPLICIT_FULL.replace("0 2 4 6\n2 0", "0 2.5 4 6\n2.5 0")
+        with pytest.raises(TsplibParseError, match="finite integers"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0**63])
+    def test_non_finite_or_oversized_explicit_weights(self, bad):
+        w = np.array([[0, bad, 2], [bad, 0, 1], [2, 1, 0]])
+        with pytest.raises(ValueError, match="finite integers"):
+            TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w)
+
+    def test_integral_float_weights_accepted(self):
+        w = np.array([[0, 1.0, 2], [1.0, 0, 1], [2, 1, 0]])
+        inst = TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w)
+        assert inst.dist.dtype == np.int64 and inst.dist[0, 1] == 1
+
+
+def full_euclidean(coords):
+    """The unblocked EUC_2D formula, over an (n, n, 2) difference array."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    return np.floor(d + 0.5).astype(np.int64)
+
+
+def full_geo(coords):
+    """The unblocked GEO formula, over whole (n, n) arrays."""
+    deg = np.trunc(coords)
+    minutes = coords - deg
+    rad = tsplib._GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
+    lat, lon = rad[:, 0], rad[:, 1]
+    q1 = np.cos(lon[:, None] - lon[None, :])
+    q2 = np.cos(lat[:, None] - lat[None, :])
+    q3 = np.cos(lat[:, None] + lat[None, :])
+    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+    d = (tsplib._GEO_RADIUS * np.arccos(arg) + 1.0).astype(np.int64)
+    np.fill_diagonal(d, 0)
+    return d
+
+
+_B = tsplib._BLOCK_ROWS
+BLOCK_EDGE_SIZES = [3, _B - 1, _B, _B + 1, 2 * _B + 1]
+
+
+def coordinate_rows(seed, n, coincident, integral, low, high):
+    """(n, 3) index/x/y rows, as parse_instance reads them, some cities stacked."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(low, high, size=(n, 3))
+    if integral:
+        rows = np.round(rows)
+    if coincident:
+        rows[rng.integers(0, n, size=n // 2)] = rows[rng.integers(0, n)]
+    return rows
+
+
+class TestBlockedMatrices:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from(BLOCK_EDGE_SIZES),
+        log_scale=st.floats(-3.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+        coincident=st.booleans(),
+        integral=st.booleans(),
+    )
+    def test_euclidean_matches_full_formula(self, n, log_scale, seed, coincident, integral):
+        scale = 10.0**log_scale
+        rows = coordinate_rows(seed, n, coincident, integral, -scale, scale)
+        coords = rows[:, 1:3]  # a strided view, as parse_instance passes it
+        got = tsplib._euclidean_matrix(coords)
+        assert got.dtype == np.int64
+        assert got.tobytes() == full_euclidean(coords).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(BLOCK_EDGE_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        coincident=st.booleans(),
+        integral=st.booleans(),
+    )
+    def test_geo_matches_full_formula(self, n, seed, coincident, integral):
+        rows = coordinate_rows(seed, n, coincident, integral, -90.0, 90.0)
+        rows[:, 2] *= 2.0  # longitudes span -180..180
+        coords = rows[:, 1:3]
+        got = tsplib._geo_matrix(coords)
+        assert got.dtype == np.int64
+        assert got.tobytes() == full_geo(coords).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["ulysses16", "eil51", "tiny3"])
+    def test_instances_match_full_formula(self, fixture, request):
+        inst = request.getfixturevalue(fixture)
+        full = full_euclidean if inst.metric == "EUC_2D" else full_geo
+        assert inst.dist.tobytes() == full(inst.coords).tobytes()
+        assert not inst.dist.flags.writeable
+
+    def test_euclidean_build_memory_is_bounded(self):
+        # the unblocked (n, n, 2) build peaked at ~38 MB for this 8 MB result
+        coords = np.random.default_rng(3).random((1000, 2)) * 1000.0
+        tracemalloc.start()
+        try:
+            TspInstance(name="big", dimension=1000, metric="EUC_2D", coords=coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestDistance:
