@@ -284,7 +284,7 @@ class TestBlockedMatrices:
         assert not inst.dist.flags.writeable
 
     def test_euclidean_build_memory_is_bounded(self):
-        # the unblocked (n, n, 2) build peaked at ~38 MB for this 8 MB result
+        # the unblocked (n, n, 2) build peaked at 40e6 bytes for this 8e6-byte result
         coords = np.random.default_rng(3).random((1000, 2)) * 1000.0
         tracemalloc.start()
         try:
