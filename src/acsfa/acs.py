@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tsplib import Tour, TspInstance, tour_length
+from .tsplib import _BLOCK_ROWS, Tour, TspInstance, tour_length
 
 if TYPE_CHECKING:
     from .firefly import ParamVector
@@ -126,19 +126,6 @@ def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
     return _inverse_distance(levels), index.reshape(d.shape)
 
 
-def heuristic_power(inst: TspInstance) -> Callable[[float], np.ndarray]:
-    """``beta -> heuristic_matrix(inst) ** beta``, one power per distance level.
-
-    Distances are integers, so the heuristic takes few distinct values: on
-    a random n = 1000 instance in a 1000 x 1000 square the table has 1 379
-    levels (0..max) against 10^6 pairs. Each value is raised by the same
-    ufunc on the same double, so the gathered matrix has the bytes of the
-    full power.
-    """
-    table, index = _heuristic_levels(inst)
-    return lambda beta: (table**beta)[index]
-
-
 def _row_weights(tau_row: np.ndarray, eta_pow_row: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """Transition weights tau * eta**beta over a whole row, zero at visited cities."""
     return tau_row * eta_pow_row * avail
@@ -224,16 +211,25 @@ def construct_tour(
     rng: np.random.Generator,
     start: int,
     *,
-    eta_pow: np.ndarray,
+    eta_pow: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
     q0: float,
     rho: float,
     tau0: float,
 ) -> Tour:
     """Build one complete tour, locally updating every traversed edge.
 
-    ``eta_pow`` is the heuristic matrix already raised to beta; the hybrid
-    solver passes per-ant values of it, q0 and rho.
+    Pass either ``eta_pow``, the heuristic matrix already raised to beta, or
+    ``weights``, the product ``tau * eta_pow`` that :func:`colony` keeps.
+    The steps read only weights toward unvisited cities, and a local update
+    only touches an edge between two visited ones, so the product taken when
+    the ant starts stays exact for the whole tour; ``weights`` is not
+    written.
     """
+    if (eta_pow is None) == (weights is None):
+        raise TypeError("pass exactly one of eta_pow and weights")
+    if weights is None:
+        weights = tau * eta_pow
     n = inst.dimension
     if not 0 <= start < n:
         raise IndexError(f"start city {start} out of range for n={n}")
@@ -245,7 +241,7 @@ def construct_tour(
     order = [start]
     r = start
     for _ in range(n - 1):
-        s = _choose(_row_weights(tau[r], eta_pow[r], avail), avail, q0, rng)
+        s = _choose(weights[r] * avail, avail, q0, rng)
         _evaporate(tau, r, s, keep, add)
         avail[s] = 0.0
         order.append(s)
@@ -257,38 +253,111 @@ def construct_tour(
     return Tour(order=tuple(order), length=length)
 
 
+# Work is counted in entries: a rebuild writes n * n, a refresh the 2n
+# entries of each stale tour, at about this many rebuild entries apiece
+# (flat take, level lookup, multiply and put, fixed call costs spread in).
+# On a 2-core Xeon the two cost the same near n = 80 for one stale tour.
+_REFRESH_COST = 32
+
+
+class _WeightProduct:
+    """``tau * table**beta[index]``, kept equal to it at every entry an ant reads.
+
+    ``table`` and ``index`` are :func:`_heuristic_levels`, so ``powers[index]``
+    has the bytes of ``heuristic_matrix(inst) ** beta``. The pheromone
+    changes only along tours: call :meth:`touched` with each tour built or
+    reinforced, and :meth:`sync` before the next ant reads the product.
+    """
+
+    def __init__(self, inst: TspInstance, tau: np.ndarray) -> None:
+        self.tau = tau
+        self.table, self.index = _heuristic_levels(inst)
+        self.matrix = np.empty_like(tau)
+        self.beta: float | None = None
+        self.powers = self.table  # table ** beta from the first sync on
+        self.stale: list[tuple[int, ...]] = []
+
+    def touched(self, order: tuple[int, ...]) -> None:
+        """Mark the 2n directed entries of a tour whose pheromone changed."""
+        self.stale.append(order)
+
+    def sync(self, beta: float) -> np.ndarray:
+        """The product for ``beta``, current at every entry."""
+        n = len(self.tau)
+        if beta != self.beta:
+            self.beta = beta
+            self.powers = self.table**beta
+            self._rebuild()
+        elif self.stale:
+            if n * n <= _REFRESH_COST * 2 * n * len(self.stale):
+                self._rebuild()
+            else:
+                self._refresh()
+        self.stale.clear()
+        return self.matrix
+
+    def _rebuild(self) -> None:
+        # take() with out= copies a read-only index (inst.dist is one) and,
+        # in mode "raise", buffers its whole output: gather block by block
+        w, index = self.matrix, self.index
+        for lo in range(0, len(w), _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            np.take(self.powers, index[lo:hi], out=w[lo:hi], mode="wrap")
+        w *= self.tau
+
+    def _refresh(self) -> None:
+        # each direction from its own entries: no reliance on symmetry
+        n = len(self.tau)
+        o = np.array(self.stale, dtype=np.intp)
+        nxt = np.empty_like(o)
+        nxt[:, :-1] = o[:, 1:]
+        nxt[:, -1] = o[:, 0]
+        flat = np.concatenate((o * n + nxt, nxt * n + o), axis=None)
+        w = self.tau.take(flat)
+        w *= self.powers.take(self.index.take(flat))
+        self.matrix.put(flat, w)
+
+
 def colony(
     inst: TspInstance,
     rng: np.random.Generator,
     alpha: float,
-    ants: Callable[[], Iterable[tuple[np.ndarray, float, float]]],
+    ants: Callable[[], Iterable[tuple[float, float, float]]],
 ) -> Iterator[tuple[Tour, list[tuple[int, int]]]]:
     """The ACS iteration of both solvers; it runs until the caller stops.
 
-    Each iteration, ``ants()`` hands out one ``(eta_pow, q0, rho)`` per ant
-    (see :func:`construct_tour`); each ant builds a tour from a random start
-    on the shared pheromone matrix, then the global best reinforces it.
-    Yields the global best and the ``(ant, length)`` of each tour that was a
-    new global best when built, in ant order.
+    Each iteration, ``ants()`` hands out one ``(beta, q0, rho)`` of plain
+    floats per ant; each ant builds a tour from a random start on the shared
+    pheromone matrix, then the global best reinforces it. Yields the global
+    best and the ``(ant, length)`` of each tour that was a new global best
+    when built, in ant order.
+
+    The colony keeps one weight matrix, ``tau * heuristic_matrix ** beta``,
+    which every ant's steps read (see :func:`construct_tour`). Before each
+    ant it is rebuilt when beta has changed (``table ** beta`` is raised
+    once per new beta), and otherwise brought up to date at the edges of the
+    tours built or reinforced since, or rebuilt when that is cheaper. A run
+    therefore holds two n x n float matrices: the pheromone and the weights.
     """
     n = inst.dimension
     tau0 = compute_tau0(inst)
     tau = init_pheromone(n, tau0)
+    product = _WeightProduct(inst, tau)
     best: Tour | None = None
     while True:
         records = []
         k = 0
-        for eta_pow, q0, rho in ants():
+        for beta, q0, rho in ants():
+            weights = product.sync(beta)
             start = int(rng.integers(n))
-            tour = construct_tour(inst, tau, rng, start, eta_pow=eta_pow, q0=q0, rho=rho, tau0=tau0)
-            # free this ant's matrix before ants() makes the next one; a loop
-            # over enumerate(ants()) would keep it in enumerate's reused tuple
-            del eta_pow
+            tour = construct_tour(inst, tau, rng, start, weights=weights, q0=q0, rho=rho, tau0=tau0)
+            product.touched(tour.order)
             if best is None or tour.length < best.length:
                 best = tour
                 records.append((k, tour.length))
             k += 1
         global_update(tau, best, alpha)
+        product.touched(best.order)
         yield best, records
 
 
@@ -306,7 +375,7 @@ def run_acs(
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     t0 = time.perf_counter()
-    ant = (heuristic_power(inst)(params.beta), params.q0, params.rho)
+    ant = (params.beta, params.q0, params.rho)
     best: Tour | None = None
     trace: list[int] = []
     for best, _ in islice(colony(inst, rng, params.alpha, lambda: repeat(ant, params.m)), iterations):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acs import RunRecord, colony, heuristic_power, nearest_neighbor_tour
+from .acs import RunRecord, colony, nearest_neighbor_tour
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
@@ -112,13 +112,12 @@ def run_acsfa(
     """
     t0 = time.perf_counter()
     m = config.m
-    eta_pow = heuristic_power(inst)
     pop = init_population(config.bounds, m, rng)
     alpha = config.fa_alpha0
 
     def ants():
         for v in pop:
-            yield eta_pow(v.beta), v.q0, local_decay(v.rho, m)
+            yield v.beta, v.q0, local_decay(v.rho, m)
 
     dims = len(PARAM_NAMES)
     means = np.empty((config.iterations, dims))

@@ -26,9 +26,9 @@ _GEO_RADIUS = 6378.388
 # temporaries stay at a few (_BLOCK_ROWS, n) arrays whatever n is.
 _BLOCK_ROWS = 64
 
-# EUC_2D coordinates up to this magnitude keep every distance, at most
-# 2**62.5, inside int64.
-_EUC_2D_MAX_COORD = 2.0**61
+# Tour lengths are int64 sums of n distances, so n times the largest
+# distance must stay within int64.
+_INT64_MAX = 2**63 - 1
 
 # Header keys we understand but do not need.
 _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE", "CAPACITY"}
@@ -54,6 +54,17 @@ def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
         dx += 0.5
         d[lo:hi] = np.floor(dx, out=dx)  # nint()
     return d
+
+
+def _euclidean_bound(coords: np.ndarray) -> float:
+    """An upper bound on every EUC_2D distance, from the coordinate spans.
+
+    The relative slack covers the rounding of the spans, the squares and the
+    root, and the 1 covers nint(); GEO distances need no bound, as none
+    exceeds half the earth's circumference (20 038).
+    """
+    span = coords.max(axis=0) - coords.min(axis=0)
+    return float(np.hypot(span[0], span[1])) * (1.0 + 1e-9) + 1.0
 
 
 def _geo_matrix(coords: np.ndarray) -> np.ndarray:
@@ -110,6 +121,8 @@ class TspInstance:
                 raise ValueError("weight matrix must have a zero diagonal")
             if (w != w.T).any():
                 raise ValueError("weight matrix must be symmetric")
+            if n * int(w.max()) > _INT64_MAX:
+                raise ValueError("n x largest edge weight exceeds 2**63 - 1: tour lengths would overflow int64")
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
             dist = w
@@ -121,8 +134,10 @@ class TspInstance:
                 raise ValueError(f"coordinate array shape {c.shape} does not match dimension {n}")
             if not np.isfinite(c).all():
                 raise ValueError("coordinates must be finite")
-            if self.metric == "EUC_2D" and (np.abs(c) > _EUC_2D_MAX_COORD).any():
-                raise ValueError("EUC_2D coordinates must lie within +-2**61 to keep distances in int64")
+            if self.metric == "EUC_2D" and n * _euclidean_bound(c) >= 2.0**63:
+                raise ValueError(
+                    "n x largest possible EUC_2D distance exceeds 2**63 - 1: tour lengths would overflow int64"
+                )
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
             dist = _euclidean_matrix(c) if self.metric == "EUC_2D" else _geo_matrix(c)
@@ -155,6 +170,16 @@ class Tour:
     length: int
 
 
+def _weight_token(tok: str) -> int | float:
+    """An edge weight token, as an exact int when its value is integral."""
+    try:
+        return int(tok)
+    except ValueError:
+        pass
+    value = float(tok)
+    return int(value) if value.is_integer() else value
+
+
 def parse_instance(text: str) -> TspInstance:
     """Parse TSPLIB text into a validated :class:`TspInstance`.
 
@@ -174,9 +199,9 @@ def parse_instance(text: str) -> TspInstance:
         shown = lines[lineno].strip() if 0 <= lineno < len(lines) else "<end of file>"
         return TsplibParseError(f"line {lineno + 1}: {message} ({shown!r})")
 
-    def read_numbers(start: int, count: int, what: str) -> tuple[list[float], int]:
-        """Collect exactly ``count`` numeric tokens from consecutive lines."""
-        values: list[float] = []
+    def read_numbers(start: int, count: int, what: str, number=float) -> tuple[list, int]:
+        """Collect exactly ``count`` tokens from consecutive lines, each read by ``number``."""
+        values: list = []
         i = start
         while len(values) < count:
             if i >= len(lines):
@@ -186,7 +211,7 @@ def parse_instance(text: str) -> TspInstance:
                 raise fail(i, f"{what}: expected {count} values, found {len(values)}")
             for tok in stripped.split():
                 try:
-                    values.append(float(tok))
+                    values.append(number(tok))
                 except ValueError:
                     raise fail(i, f"{what}: non-numeric token {tok!r}") from None
                 if len(values) > count:
@@ -241,10 +266,15 @@ def parse_instance(text: str) -> TspInstance:
                 "UPPER_ROW": n * (n - 1) // 2,
                 "LOWER_DIAG_ROW": n * (n + 1) // 2,
             }
-            values, i = read_numbers(i + 1, counts[fmt], f"EDGE_WEIGHT_SECTION ({fmt})")
-            # TspInstance rejects non-integer weights and converts to int64.
-            flat = np.asarray(values)
-            mat = np.zeros((n, n))
+            values, i = read_numbers(i + 1, counts[fmt], f"EDGE_WEIGHT_SECTION ({fmt})", _weight_token)
+            # Integral tokens stay exact in int64. A section with a fractional
+            # token, or one beyond int64, is read as floats, which TspInstance
+            # rejects as non-integer weights.
+            try:
+                flat = np.array(values, dtype=np.int64 if all(type(v) is int for v in values) else float)
+            except OverflowError:
+                flat = np.array(values, dtype=float)
+            mat = np.zeros((n, n), dtype=flat.dtype)
             if fmt == "FULL_MATRIX":
                 mat = flat.reshape(n, n)
             elif fmt == "UPPER_ROW":

@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -11,12 +11,12 @@ from acsfa.acs import (
     _choose,
     _heuristic_levels,
     _row_weights,
+    _WeightProduct,
     colony,
     compute_tau0,
     construct_tour,
     global_update,
     heuristic_matrix,
-    heuristic_power,
     init_pheromone,
     local_update,
     nearest_neighbor_tour,
@@ -316,21 +316,32 @@ def heuristic_instances(draw) -> TspInstance:
     return random_explicit(n, draw(st.sampled_from([5, 10**4, 10**12])), rng)
 
 
+def first_rebuild(inst: TspInstance, beta: float, tau: np.ndarray) -> np.ndarray:
+    """The weight product a colony builds for its first ant at this beta."""
+    return _WeightProduct(inst, tau).sync(beta)
+
+
+def random_pheromone(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).random((n, n)) + 1e-3
+
+
 class TestHeuristicPower:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_same_bytes_as_the_full_power(self, data, ulysses16, eil51):
         inst = data.draw(st.one_of(st.sampled_from([ulysses16, eil51]), heuristic_instances()))
         beta = data.draw(BETAS)
-        expected = heuristic_matrix(inst) ** beta
-        got = heuristic_power(inst)(beta)
+        tau = random_pheromone(inst.dimension, data.draw(st.integers(0, 2**32 - 1)))
+        expected = tau * heuristic_matrix(inst) ** beta
+        got = first_rebuild(inst, beta, tau)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.0, 3.7, 8.0])
     def test_same_bytes_at_n_300(self, beta):
         inst = random_euclidean(300, np.random.default_rng(3))
-        assert heuristic_power(inst)(beta).tobytes() == (heuristic_matrix(inst) ** beta).tobytes()
+        tau = random_pheromone(300, 4)
+        assert first_rebuild(inst, beta, tau).tobytes() == (tau * heuristic_matrix(inst) ** beta).tobytes()
 
     def test_range_levels_index_the_distances_without_a_copy(self, eil51):
         table, index = _heuristic_levels(eil51)
@@ -399,11 +410,19 @@ class TestConstructTour:
             assert tau[r, s] < 4.0  # pulled toward tau0, closing edge included
         assert tau[0, 2] == 4.0  # diagonal never traversed
 
+    def test_takes_exactly_one_of_eta_pow_and_weights(self, tiny3):
+        ant = ant_settings(tiny3)
+        tau = init_pheromone(3, ant["tau0"])
+        with pytest.raises(TypeError, match="exactly one"):
+            construct_tour(tiny3, tau, np.random.default_rng(0), 0, weights=tau * ant["eta_pow"], **ant)
+        del ant["eta_pow"]
+        with pytest.raises(TypeError, match="exactly one"):
+            construct_tour(tiny3, tau, np.random.default_rng(0), 0, **ant)
+
 
 def colony_iterations(inst: TspInstance, count: int, seed: int = 0) -> list:
     """(best, records) of a colony's first iterations; six ants with mixed settings."""
-    eta = heuristic_matrix(inst)
-    ants = [(eta**beta, q0, 0.1) for beta in (0.0, 2.0, 5.0) for q0 in (0.5, 0.95)]
+    ants = [(beta, q0, 0.1) for beta in (0.0, 2.0, 5.0) for q0 in (0.5, 0.95)]
     return list(islice(colony(inst, np.random.default_rng(seed), 0.1, lambda: iter(ants)), count))
 
 
@@ -431,21 +450,22 @@ class TestColony:
                 assert best is previous
             previous = best
 
-    def test_frees_each_matrix_before_pulling_the_next(self, ulysses16):
-        eta = heuristic_matrix(ulysses16)
-        refs = []
-        held = []
-
-        def ants():
-            for beta in (1.0, 2.0, 3.0):
-                held.append(bool(refs) and refs[-1]() is not None)
-                eta_pow = eta**beta
-                refs.append(weakref.ref(eta_pow))
-                yield eta_pow, 0.9, 0.1
-                del eta_pow
-
-        list(islice(colony(ulysses16, np.random.default_rng(0), 0.1, ants), 2))
-        assert held == [False] * 6
+    def test_run_acs_holds_the_pheromone_and_one_weight_matrix(self):
+        # n x n float matrices alive at once: the pheromone and the weight
+        # product, with a half-matrix margin for the rest
+        n = 300
+        inst = random_euclidean(n, np.random.default_rng(0))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_acs(inst, AcsParams(m=3), 2, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
 
 
 class TestRunAcs:

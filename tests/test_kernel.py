@@ -8,13 +8,27 @@ any input it must pick the same city and consume the same random draws.
 """
 
 import warnings
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acsfa.acs import AcsParams, _choose, _row_weights, construct_tour, heuristic_matrix, run_acs
+import acsfa.acs
+from acsfa.acs import (
+    AcsParams,
+    _choose,
+    _row_weights,
+    colony,
+    compute_tau0,
+    construct_tour,
+    global_update,
+    heuristic_matrix,
+    init_pheromone,
+    run_acs,
+)
 from acsfa.hybrid import HybridConfig, run_acsfa
 from acsfa.tsplib import TspInstance, Tour, tour_length
 
@@ -170,4 +184,82 @@ def test_construct_tour_matches_reference(n, beta, rho, q0, seed):
     got = construct_tour(inst, tau, rng, start, **ant)
     assert got == expected
     assert tau.tobytes() == ref_tau.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_colony(inst, rng, alpha, schedule):
+    """The ACS iteration over a full eta ** beta matrix per ant: (every tour, tau)."""
+    n = inst.dimension
+    tau0 = compute_tau0(inst)
+    tau = init_pheromone(n, tau0)
+    eta = heuristic_matrix(inst)
+    tours = []
+    best = None
+    for ants in schedule:
+        for beta, q0, rho in ants:
+            start = int(rng.integers(n))
+            tour = reference_construct_tour(inst, tau, rng, start, eta_pow=eta**beta, q0=q0, rho=rho, tau0=tau0)
+            tours.append(tour)
+            if best is None or tour.length < best.length:
+                best = tour
+        global_update(tau, best, alpha)
+    return tours, tau
+
+
+@st.composite
+def colony_instances(draw) -> TspInstance:
+    """EUC_2D, GEO and EXPLICIT instances with n on both sides of the rebuild/refresh crossover."""
+    n = draw(st.one_of(st.integers(5, 20), st.integers(60, 130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    metric = draw(st.sampled_from(["EUC_2D", "GEO", "EXPLICIT"]))
+    if metric == "EXPLICIT":
+        # a range of 10**12 takes the distinct-level path of _heuristic_levels
+        w = np.triu(rng.integers(0, draw(st.sampled_from([50, 10**12])), (n, n), endpoint=True), 1)
+        return TspInstance(name="x", dimension=n, metric=metric, weights=w + w.T)
+    if metric == "GEO":
+        coords = np.column_stack((rng.uniform(-89.0, 89.0, n), rng.uniform(-179.0, 179.0, n)))
+    else:
+        coords = rng.random((n, 2)) * draw(st.sampled_from([100.0, 1e7]))
+    return TspInstance(name="c", dimension=n, metric=metric, coords=coords)
+
+
+SETTINGS = st.tuples(
+    st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.7]), st.floats(0.0, 6.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=colony_instances(),
+    data=st.data(),
+    per_ant=st.booleans(),
+    iterations=st.integers(1, 4),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_colony_matches_the_reference_colony(inst, data, per_ant, iterations, m, seed):
+    # fixed settings are ACS; settings per ant and per iteration are the
+    # hybrid's case, with repeated betas drawn often enough to refresh
+    if per_ant:
+        schedule = [[data.draw(SETTINGS) for _ in range(m)] for _ in range(iterations)]
+    else:
+        schedule = [[data.draw(SETTINGS)] * m] * iterations
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected, ref_tau = reference_colony(inst, ref_rng, 0.1, schedule)
+
+    tours, taus = [], []
+    real_construct = acsfa.acs.construct_tour
+
+    def spy(inst, tau, rng, start, **kwargs):
+        taus.append(tau)
+        tours.append(real_construct(inst, tau, rng, start, **kwargs))
+        return tours[-1]
+
+    with mock.patch.object(acsfa.acs, "construct_tour", spy):
+        ants = iter(schedule)
+        list(islice(colony(inst, rng, 0.1, lambda: next(ants)), iterations))
+    assert tours == expected
+    assert taus[-1].tobytes() == ref_tau.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -31,6 +31,17 @@ EOF
 """
 
 
+EXPLICIT_UPPER_ROW_3 = """\
+DIMENSION : 3
+EDGE_WEIGHT_TYPE : EXPLICIT
+EDGE_WEIGHT_FORMAT : UPPER_ROW
+EDGE_WEIGHT_SECTION
+{} 1
+1
+EOF
+"""
+
+
 def make_coord_file(coords, dimension=None, metric="EUC_2D"):
     n = dimension if dimension is not None else len(coords)
     lines = [
@@ -170,20 +181,46 @@ class TestBadInputsRejected:
                 parse_instance(text)
 
     def test_euc_2d_coordinates_beyond_int64_distances(self):
+        # the triangle's tour length, 2**62.5 * (2 + sqrt 2), wrapped in int64
         limit = 2.0**61
-        with pytest.raises(ValueError, match="2\\*\\*61"):
-            TspInstance(
-                name="x",
-                dimension=3,
-                metric="EUC_2D",
-                coords=[[0.0, 0.0], [np.nextafter(limit, math.inf), 0.0], [1.0, 1.0]],
-            )
-        # the limit itself still fits: the longest distance is 2**62.5
-        inst = TspInstance(
-            name="x", dimension=3, metric="EUC_2D", coords=[[-limit, -limit], [limit, limit], [0.0, 0.0]]
-        )
-        assert inst.dist[0, 1] == math.floor(math.hypot(2.0**62, 2.0**62) + 0.5)
-        assert (inst.dist >= 0).all()
+        triangle = [(-limit, -limit), (limit, limit), (limit, -limit)]
+        with pytest.raises(ValueError, match="overflow int64"):
+            TspInstance(name="x", dimension=3, metric="EUC_2D", coords=triangle)
+        with pytest.raises(TsplibParseError, match="overflow int64"):
+            parse_instance(make_coord_file(triangle))
+        # a smaller triangle still fits, and its length is the exact sum
+        side = 2.0**59
+        inst = TspInstance(name="x", dimension=3, metric="EUC_2D", coords=[[0.0, 0.0], [side, 0.0], [0.0, side]])
+        d = inst.dist
+        assert tour_length(inst, [0, 1, 2]) == int(d[0, 1]) + int(d[1, 2]) + int(d[2, 0]) > 0
+
+    def test_euc_2d_bound_is_checked_before_the_matrix_is_built(self, monkeypatch):
+        def no_matrix(coords):
+            raise AssertionError("matrix built")
+
+        monkeypatch.setattr(tsplib, "_euclidean_matrix", no_matrix)
+        coords = [[0.0, 0.0], [1e300, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match="overflow int64"):
+            TspInstance(name="x", dimension=4, metric="EUC_2D", coords=coords)
+
+    def test_explicit_weights_whose_tour_sums_overflow_int64(self):
+        big = (2**63 - 1) // 3
+        w = [[0, big, 1], [big, 0, 1], [1, 1, 0]]
+        assert TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w).dist[0, 1] == big
+        w[0][1] = w[1][0] = big + 1
+        with pytest.raises(ValueError, match="overflow int64"):
+            TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w)
+        with pytest.raises(TsplibParseError, match="overflow int64"):
+            parse_instance(EXPLICIT_UPPER_ROW_3.format(big + 1))
+
+    def test_integer_weight_tokens_parse_exactly(self):
+        inst = parse_instance(EXPLICIT_UPPER_ROW_3.format(2**53 + 1))
+        assert inst.dist.dtype == np.int64
+        assert int(inst.dist[0, 1]) == int(inst.dist[1, 0]) == 9007199254740993
+        # integral float tokens elsewhere in the section keep the others exact
+        text = EXPLICIT_UPPER_ROW_3.format(2**53 + 1).replace(" 1\n1\n", " 1.0\n1e0\n")
+        assert text != EXPLICIT_UPPER_ROW_3.format(2**53 + 1)
+        assert int(parse_instance(text).dist[0, 1]) == 9007199254740993
 
     def test_non_integer_explicit_weights(self):
         w = [[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]]
