@@ -1,18 +1,20 @@
 """Ant colony system engine: transition rule, pheromone updates, baseline solver.
 
 The pheromone matrix is a plain (n, n) float array. Tour construction
-mutates it in place (local updates happen as edges are traversed), so a run
-owns its matrix exclusively. All randomness comes from the caller's
-generator; nothing here touches global state.
+mutates it in place (the local update of each traversed edge, applied once
+the tour is closed), so a run owns its matrix exclusively. All randomness
+comes from the caller's generator; nothing here touches global state.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, repeat
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -176,15 +178,24 @@ def transition_probabilities(
     return w[J] / total
 
 
-def _evaporate(tau: np.ndarray, r: int, s: int, keep: float, add: float) -> None:
-    v = keep * tau.item(r, s) + add
+def local_update(tau: np.ndarray, r: int, s: int, rho: float, tau0: float) -> None:
+    """Evaporate edge (r, s) toward the base level tau0, symmetrically."""
+    v = (1.0 - rho) * tau.item(r, s) + rho * tau0
     tau[r, s] = v
     tau[s, r] = v
 
 
-def local_update(tau: np.ndarray, r: int, s: int, rho: float, tau0: float) -> None:
-    """Evaporate edge (r, s) toward the base level tau0, symmetrically."""
-    _evaporate(tau, r, s, 1.0 - rho, rho * tau0)
+def _tour_edges(order: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (n, n) indices of a tour's edges (r, s) and of their reverses (s, r).
+
+    ``order`` is one tour, or one per row: each city links to the next along
+    the last axis and the last city to the first. For n >= 3 the 2n indices
+    of one tour are distinct.
+    """
+    nxt = np.empty_like(order)
+    nxt[..., :-1] = order[..., 1:]
+    nxt[..., -1] = order[..., 0]
+    return order * n + nxt, nxt * n + order
 
 
 def global_update(tau: np.ndarray, best: Tour, alpha: float) -> None:
@@ -196,13 +207,12 @@ def global_update(tau: np.ndarray, best: Tour, alpha: float) -> None:
     sampled), which measurably destroys solution quality on small
     instances, so the update stays confined to the reinforced edges.
     """
-    o = np.asarray(best.order, dtype=np.int64)
-    nxt = np.roll(o, -1)
-    bonus = alpha / max(best.length, 1)  # zero-length tours only on degenerate data
-    tau[o, nxt] *= 1.0 - alpha
-    tau[nxt, o] *= 1.0 - alpha
-    tau[o, nxt] += bonus
-    tau[nxt, o] += bonus
+    # each direction from its own entry: no reliance on symmetry
+    edges = np.concatenate(_tour_edges(np.array(best.order, dtype=np.intp), len(tau)))
+    v = tau.take(edges)
+    v *= 1.0 - alpha
+    v += alpha / max(best.length, 1)  # zero-length tours only on degenerate data
+    tau.put(edges, v)
 
 
 def construct_tour(
@@ -225,6 +235,13 @@ def construct_tour(
     only touches an edge between two visited ones, so the product taken when
     the ant starts stays exact for the whole tour; ``weights`` is not
     written.
+
+    No step reads ``tau`` and a tour's n edges are distinct, so the local
+    updates are applied once per tour, after it closes, each edge from its
+    own entry: the bytes equal those of updating edge by edge. A step uses
+    one or two uniforms. They are drawn in one block of 2(n - 1), then the
+    generator is rewound and advanced by the draws actually used, so its
+    state ends as if each had been drawn alone, for any bit generator.
     """
     if (eta_pow is None) == (weights is None):
         raise TypeError("pass exactly one of eta_pow and weights")
@@ -233,24 +250,32 @@ def construct_tour(
     n = inst.dimension
     if not 0 <= start < n:
         raise IndexError(f"start city {start} out of range for n={n}")
-    keep = 1.0 - rho
-    add = rho * tau0
 
+    # rng.random(k) gives the doubles of k scalar calls
+    state = rng.bit_generator.state
+    block = rng.random(2 * (n - 1)).tolist()
+    uniforms = iter(block)
+    draws = SimpleNamespace(random=uniforms.__next__)
     avail = np.ones(n)
     avail[start] = 0.0
     order = [start]
     r = start
     for _ in range(n - 1):
-        s = _choose(weights[r] * avail, avail, q0, rng)
-        _evaporate(tau, r, s, keep, add)
+        s = _choose(weights[r] * avail, avail, q0, draws)
         avail[s] = 0.0
         order.append(s)
         r = s
-    _evaporate(tau, r, start, keep, add)
+    rng.bit_generator.state = state
+    rng.random(len(block) - operator.length_hint(uniforms))
+
+    fwd, bwd = _tour_edges(np.array(order, dtype=np.intp), n)
+    v = tau.take(fwd)
+    v *= 1.0 - rho
+    v += rho * tau0
+    tau.put(fwd, v)
+    tau.put(bwd, v)
     # the order is a permutation by construction, so skip tour_length's check
-    o = np.array(order)
-    length = int(inst.dist[o[:-1], o[1:]].sum()) + inst.dist.item(r, start)
-    return Tour(order=tuple(order), length=length)
+    return Tour(order=tuple(order), length=int(inst.dist.take(fwd).sum()))
 
 
 # Work is counted in entries: a rebuild writes n * n, a refresh the 2n
@@ -307,12 +332,7 @@ class _WeightProduct:
 
     def _refresh(self) -> None:
         # each direction from its own entries: no reliance on symmetry
-        n = len(self.tau)
-        o = np.array(self.stale, dtype=np.intp)
-        nxt = np.empty_like(o)
-        nxt[:, :-1] = o[:, 1:]
-        nxt[:, -1] = o[:, 0]
-        flat = np.concatenate((o * n + nxt, nxt * n + o), axis=None)
+        flat = np.concatenate(_tour_edges(np.array(self.stale, dtype=np.intp), len(self.tau)), axis=None)
         w = self.tau.take(flat)
         w *= self.powers.take(self.index.take(flat))
         self.matrix.put(flat, w)

@@ -112,7 +112,7 @@ class TspInstance:
             w = np.asarray(self.weights)
             if w.dtype.kind == "f" and not ((w == np.round(w)) & (np.abs(w) < 2.0**63)).all():
                 raise ValueError("edge weights must be finite integers within int64")
-            w = np.asarray(w, dtype=np.int64)
+            w = np.array(w, dtype=np.int64)  # a private copy: the caller's array stays writeable
             if w.shape != (n, n):
                 raise ValueError(f"weight matrix shape {w.shape} does not match dimension {n}")
             if (w < 0).any():
@@ -129,7 +129,7 @@ class TspInstance:
         else:
             if self.coords is None or self.weights is not None:
                 raise ValueError(f"{self.metric} instances carry coordinates and no weight matrix")
-            c = np.asarray(self.coords, dtype=float)
+            c = np.array(self.coords, dtype=float)  # a private copy, as for weights
             if c.shape != (n, 2):
                 raise ValueError(f"coordinate array shape {c.shape} does not match dimension {n}")
             if not np.isfinite(c).all():

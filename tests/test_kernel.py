@@ -187,6 +187,70 @@ def test_construct_tour_matches_reference(n, beta, rho, q0, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64, np.random.Philox)
+
+
+def same_state(a, b) -> bool:
+    """Bit generator states are equal; MT19937 and Philox hold arrays in theirs."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 14),
+    beta=st.floats(0.0, 8.0),
+    rho=st.floats(0.0, 1.0, exclude_max=True),
+    q0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_construct_tour_rewinds_any_bit_generator(n, beta, rho, q0, bit_generator, seed):
+    # the uniforms come in one block and the generator is rewound to the
+    # draws used; the integers() call first leaves a buffered uint32 live on
+    # every generator but MT19937, as the colony's random start does
+    setup = np.random.default_rng(seed)
+    inst = TspInstance(name="r", dimension=n, metric="EUC_2D", coords=setup.random((n, 2)) * 100)
+    tau0 = float(setup.random()) + 1e-3
+    noise = setup.random((n, n))
+    tau = tau0 * (1.0 + noise + noise.T)
+    ref_tau = tau.copy()
+    ant = {"eta_pow": heuristic_matrix(inst) ** beta, "q0": q0, "rho": rho, "tau0": tau0}
+
+    ref_rng, rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    start = int(ref_rng.integers(n))
+    assert int(rng.integers(n)) == start
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, **ant)
+    got = construct_tour(inst, tau, rng, start, **ant)
+    assert got == expected
+    assert tau.tobytes() == ref_tau.tobytes()
+    assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert rng.integers(2**40) == ref_rng.integers(2**40)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("level", [1.0, 1e-200])
+def test_two_draws_per_step_use_the_whole_block(bit_generator, level):
+    # q0 = 0 takes two uniforms at every step: by sampling, or, when every
+    # weight underflows to 0.0, by the uniform fallback
+    n = 9
+    inst = TspInstance(name="r", dimension=n, metric="EUC_2D", coords=np.random.default_rng(4).random((n, 2)) * 100)
+    tau = np.full((n, n), level)
+    ref_tau = tau.copy()
+    ant = {"eta_pow": np.full((n, n), level), "q0": 0.0, "rho": 0.1, "tau0": 0.01}
+    assert (level * level == 0.0) == (level < 1.0)
+    ref_rng, rng, full = (np.random.Generator(bit_generator(3)) for _ in range(3))
+    for g in (ref_rng, rng, full):
+        g.integers(n)
+    full.random(2 * (n - 1))
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, 2, **ant)
+    assert construct_tour(inst, tau, rng, 2, **ant) == expected
+    assert tau.tobytes() == ref_tau.tobytes()
+    assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert same_state(rng.bit_generator.state, full.bit_generator.state)
+
+
 def reference_colony(inst, rng, alpha, schedule):
     """The ACS iteration over a full eta ** beta matrix per ant: (every tour, tau)."""
     n = inst.dimension

@@ -164,6 +164,26 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="diagonal"):
             TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=w)
 
+    @pytest.mark.parametrize(
+        "metric, rows",
+        [
+            ("EXPLICIT", [[0, 1, 2], [1, 0, 3], [2, 3, 0]]),
+            ("EUC_2D", [[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]),
+            ("GEO", [[10.0, 20.0], [11.0, 21.0], [12.0, 19.0]]),
+        ],
+    )
+    def test_caller_array_is_not_frozen(self, metric, rows):
+        # the instance freezes its own copy; editing the caller's array later
+        # changes nothing in the instance
+        key = "weights" if metric == "EXPLICIT" else "coords"
+        data = np.array(rows, dtype=np.int64 if metric == "EXPLICIT" else float)
+        inst = TspInstance(name="x", dimension=3, metric=metric, **{key: data})
+        dist = inst.dist.copy()
+        assert data.flags.writeable
+        data[0, 1] = data[1, 0] = 7
+        assert np.array_equal(inst.dist, dist)
+        assert not getattr(inst, key).flags.writeable
+
 
 class TestBadInputsRejected:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
