@@ -9,12 +9,10 @@ comes from the caller's generator; nothing here touches global state.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice, repeat
-from types import SimpleNamespace
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,15 +74,16 @@ def nearest_neighbor_tour(inst: TspInstance, start: int = 0) -> Tour:
         raise IndexError(f"start city {start} out of range for n={n}")
     d = inst.dist
     order = np.empty(n, dtype=np.int64)
-    # +inf at visited cities; adding it to a distance row is exact (int64 -> float64)
-    penalty = np.zeros(n)
+    # 2**62 at visited cities: TspInstance bounds every distance by
+    # (2**63 - 1) // 3 < 2**62, so the int64 sum is exact and ranks them last
+    penalty = np.zeros(n, dtype=np.int64)
     order[0] = start
-    penalty[start] = np.inf
+    penalty[start] = 2**62
     r = start
     for k in range(1, n):
         r = int((d[r] + penalty).argmin())
         order[k] = r
-        penalty[r] = np.inf
+        penalty[r] = 2**62
     return Tour(order=tuple(int(c) for c in order), length=tour_length(inst, order))
 
 
@@ -133,29 +132,30 @@ def _row_weights(tau_row: np.ndarray, eta_pow_row: np.ndarray, avail: np.ndarray
     return tau_row * eta_pow_row * avail
 
 
-def _choose(w: np.ndarray, avail: np.ndarray, q0: float, rng: np.random.Generator) -> int:
+def _choose(w: np.ndarray, avail: np.ndarray, q0: float, draw: Callable[[], float]) -> int:
     """Pseudo-random-proportional rule over a masked row of weights.
 
-    With probability q0 take the largest weight (ties: lowest index),
-    otherwise sample a city with probability proportional to its weight.
+    ``draw()`` returns the next uniform in [0, 1). With probability q0 take
+    the largest weight (ties: lowest index), otherwise sample a city with
+    probability proportional to its weight.
     Visited cities weigh 0.0, so the cumulative sum only rises at unvisited
     ones and ``searchsorted`` can only land there. Adding 0.0 is exact, so
     the choice and the random draws equal those of the same rule applied to
     the unvisited cities alone.
     """
-    if rng.random() <= q0:
+    if draw() <= q0:
         s = int(w.argmax())
         # every weight underflowed to 0.0: the lowest unvisited city
         return s if avail.item(s) else int(avail.argmax())
     c = w.cumsum()
     total = c.item(-1)
     if 0.0 < total < math.inf:
-        s = int(c.searchsorted(rng.random() * total, side="right"))
+        s = int(c.searchsorted(draw() * total, side="right"))
         # a draw rounded up to the total: the last unvisited city
         return s if s < c.size else int(np.flatnonzero(avail)[-1])
     # weights can underflow to all-zero after very long decay: fall back to uniform
     J = np.flatnonzero(avail)
-    return int(J[min(int(rng.random() * J.size), J.size - 1)])
+    return int(J[min(int(draw() * J.size), J.size - 1)])
 
 
 def transition_probabilities(
@@ -239,9 +239,11 @@ def construct_tour(
     No step reads ``tau`` and a tour's n edges are distinct, so the local
     updates are applied once per tour, after it closes, each edge from its
     own entry: the bytes equal those of updating edge by edge. A step uses
-    one or two uniforms. They are drawn in one block of 2(n - 1), then the
-    generator is rewound and advanced by the draws actually used, so its
-    state ends as if each had been drawn alone, for any bit generator.
+    one or two uniforms. They are drawn in blocks: when one runs out, the
+    next holds one uniform per step still to take, the current one
+    included, so every block is used up and the generator ends where one
+    draw at a time would leave it, for any bit generator, without its
+    state being read or written.
     """
     if (eta_pow is None) == (weights is None):
         raise TypeError("pass exactly one of eta_pow and weights")
@@ -251,22 +253,17 @@ def construct_tour(
     if not 0 <= start < n:
         raise IndexError(f"start city {start} out of range for n={n}")
 
-    # rng.random(k) gives the doubles of k scalar calls
-    state = rng.bit_generator.state
-    block = rng.random(2 * (n - 1)).tolist()
-    uniforms = iter(block)
-    draws = SimpleNamespace(random=uniforms.__next__)
     avail = np.ones(n)
     avail[start] = 0.0
     order = [start]
+    # rng.random(k) gives the doubles of k scalar calls
+    draw = chain.from_iterable(iter(lambda: rng.random(n - len(order)).tolist(), None)).__next__
     r = start
     for _ in range(n - 1):
-        s = _choose(weights[r] * avail, avail, q0, draws)
+        s = _choose(weights[r] * avail, avail, q0, draw)
         avail[s] = 0.0
         order.append(s)
         r = s
-    rng.bit_generator.state = state
-    rng.random(len(block) - operator.length_hint(uniforms))
 
     fwd, bwd = _tour_edges(np.array(order, dtype=np.intp), n)
     v = tau.take(fwd)

@@ -50,11 +50,14 @@ def held_karp(inst: TspInstance, max_cities: int = HELD_KARP_MAX) -> int:
     n = inst.dimension
     if n > max_cities:
         raise ValueError(f"held-karp is capped at {max_cities} cities, got {n}")
-    d = inst.dist.astype(float)
+    d = inst.dist
     m = n - 1
     full = 1 << m
+    # TspInstance bounds n x the largest weight by 2**63 - 1, so a path sum
+    # never exceeds this sentinel and adding a weight to it cannot overflow
+    unreached = np.iinfo(np.int64).max - int(d.max())
     # dp[mask, j]: cheapest path from city 0 through set `mask` ending at j+1
-    dp = np.full((full, m), np.inf)
+    dp = np.full((full, m), unreached, dtype=np.int64)
     dp[np.left_shift(1, np.arange(m)), np.arange(m)] = d[0, 1:]
     sub = d[1:, 1:]
     for mask in range(3, full):
@@ -67,5 +70,4 @@ def held_karp(inst: TspInstance, max_cities: int = HELD_KARP_MAX) -> int:
             j = bit.bit_length() - 1
             row[j] = np.min(dp[mask ^ bit] + sub[:, j])
             rest ^= bit
-    best = np.min(dp[full - 1] + d[1:, 0])
-    return int(round(best))
+    return int(np.min(dp[full - 1] + d[1:, 0]))

@@ -141,6 +141,21 @@ class TestNearestNeighbor:
             assert order == reference_nearest_neighbor_order(inst, start)
 
 
+    def test_exact_above_2_53(self):
+        # B + 1 and B differ only below float64's precision at 2**58: city 2 is nearest
+        b = 2**58
+        inst = explicit([[0, b + 1, b, 2 * b], [b + 1, 0, b, b], [b, b, 0, b], [2 * b, b, b, 0]])
+        tour = nearest_neighbor_tour(inst, 0)
+        assert tour.order == (0, 2, 1, 3)
+        assert tour.length == 5 * b
+
+    def test_largest_accepted_weights(self):
+        # every distance at the (2**63 - 1) // 3 bound: the visited penalty must not overflow
+        top = (2**63 - 1) // 3
+        inst = explicit([[0, top, top], [top, 0, top], [top, top, 0]])
+        assert nearest_neighbor_tour(inst, 2).order == (2, 0, 1)
+
+
 class TestTau0:
     def test_triangle(self, tiny3):
         assert compute_tau0(tiny3) == pytest.approx(1.0 / 9.0)
@@ -197,7 +212,7 @@ def choose_next(r, unvisited, tau, inst, beta, q0, rng) -> int:
     avail = np.zeros(inst.dimension)
     avail[list(unvisited)] = 1.0
     eta_pow = heuristic_matrix(inst)[r] ** beta
-    return _choose(_row_weights(tau[r], eta_pow, avail), avail, q0, rng)
+    return _choose(_row_weights(tau[r], eta_pow, avail), avail, q0, rng.random)
 
 
 class TestSelectNextCity:

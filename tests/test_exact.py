@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acsfa.exact import brute_force, held_karp
 from acsfa.tsplib import TspInstance, tour_length
 
 from conftest import random_euclidean
+
+
+def explicit(weights) -> TspInstance:
+    w = np.asarray(weights, dtype=np.int64)
+    return TspInstance(name="w", dimension=len(w), metric="EXPLICIT", weights=w)
 
 
 class TestBruteForce:
@@ -70,3 +77,22 @@ class TestHeldKarp:
         )
         assert held_karp(relabeled) == held_karp(inst)
         assert brute_force(relabeled).length == brute_force(inst).length
+
+    def test_exact_above_2_53(self):
+        # path sums past 2**53 whose last bits decide the optimum
+        m = 3 * 2**53
+        inst = explicit([[0, m + 1, 1, m], [m + 1, 0, m, 1], [1, m, 0, m + 3], [m, 1, m + 3, 0]])
+        assert held_karp(inst) == brute_force(inst).length == 2 * m + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 9),
+        spread=st.sampled_from([3, 1000, 2**40]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_near_the_int64_bound(self, n, spread, seed):
+        # weights just under (2**63 - 1) // n, where tour sums approach 2**63 - 1
+        top = (2**63 - 1) // n
+        w = np.triu(top - np.random.default_rng(seed).integers(0, spread, (n, n), endpoint=True), 1)
+        inst = explicit(w + w.T)
+        assert held_karp(inst) == brute_force(inst).length

@@ -119,7 +119,7 @@ def _kernel_and_reference(tau, eta_pow, visited):
 def test_kernel_matches_reference_on_a_generator(row, q0, seed):
     J, w_ref, avail, w = _kernel_and_reference(*row)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _choose(w, avail, q0, rng) == reference_pick(J, w_ref, q0, ref_rng)
+    assert _choose(w, avail, q0, rng.random) == reference_pick(J, w_ref, q0, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -135,7 +135,7 @@ def test_kernel_matches_reference_at_draw_endpoints(row, q0, draws):
     # end-of-range clamp must map to the last unvisited city
     J, w_ref, avail, w = _kernel_and_reference(*row)
     ref_rng, rng = ScriptedRng(draws), ScriptedRng(draws)
-    assert _choose(w, avail, q0, rng) == reference_pick(J, w_ref, q0, ref_rng)
+    assert _choose(w, avail, q0, rng.random) == reference_pick(J, w_ref, q0, ref_rng)
     assert rng.used == ref_rng.used
 
 
@@ -152,13 +152,13 @@ def test_underflowed_row_exploits_the_lowest_unvisited_city():
     avail = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
     w = _row_weights(np.full(5, 1e-200), np.full(5, 1e-200), avail)
     assert not w.any()
-    assert _choose(w, avail, 1.0, np.random.default_rng(0)) == 2
+    assert _choose(w, avail, 1.0, np.random.default_rng(0).random) == 2
 
 
 def test_draw_at_the_total_samples_the_last_unvisited_city():
     avail = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
     w = _row_weights(np.ones(5), np.ones(5), avail)
-    assert _choose(w, avail, 0.0, ScriptedRng([0.5, 1.0])) == 2
+    assert _choose(w, avail, 0.0, ScriptedRng([0.5, 1.0]).random) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,6 +227,44 @@ def test_construct_tour_rewinds_any_bit_generator(n, beta, rho, q0, bit_generato
     assert tau.tobytes() == ref_tau.tobytes()
     assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert rng.integers(2**40) == ref_rng.integers(2**40)
+
+
+class SealedPCG64(np.random.PCG64):
+    """A PCG64 whose state can be neither read nor written."""
+
+    @property
+    def state(self):
+        raise AssertionError("state read")
+
+    @state.setter
+    def state(self, value):
+        raise AssertionError("state written")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    beta=st.floats(0.0, 8.0),
+    q0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_construct_tour_leaves_the_generator_state_alone(n, beta, q0, seed):
+    # the draws alone must leave the generator where scalar draws would
+    setup = np.random.default_rng(seed)
+    inst = TspInstance(name="r", dimension=n, metric="EUC_2D", coords=setup.random((n, 2)) * 100)
+    tau0 = float(setup.random()) + 1e-3
+    tau = np.full((n, n), tau0)
+    ref_tau = tau.copy()
+    ant = {"eta_pow": heuristic_matrix(inst) ** beta, "q0": q0, "rho": 0.1, "tau0": tau0}
+
+    ref_rng, rng = np.random.Generator(np.random.PCG64(seed)), np.random.Generator(SealedPCG64(seed))
+    start = int(ref_rng.integers(n))
+    assert int(rng.integers(n)) == start
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, **ant)
+    assert construct_tour(inst, tau, rng, start, **ant) == expected
+    assert tau.tobytes() == ref_tau.tobytes()
+    assert rng.integers(2**40) == ref_rng.integers(2**40)
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
