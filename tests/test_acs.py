@@ -140,7 +140,6 @@ class TestNearestNeighbor:
             order = nearest_neighbor_tour(inst, start).order
             assert order == reference_nearest_neighbor_order(inst, start)
 
-
     def test_exact_above_2_53(self):
         # B + 1 and B differ only below float64's precision at 2**58: city 2 is nearest
         b = 2**58
