@@ -127,11 +127,6 @@ def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
     return _inverse_distance(levels), index.reshape(d.shape)
 
 
-def _row_weights(tau_row: np.ndarray, eta_pow_row: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    """Transition weights tau * eta**beta over a whole row, zero at visited cities."""
-    return tau_row * eta_pow_row * avail
-
-
 def _choose(w: np.ndarray, avail: np.ndarray, q0: float, draw: Callable[[], float]) -> int:
     """Pseudo-random-proportional rule over a masked row of weights.
 
@@ -171,18 +166,27 @@ def transition_probabilities(
     J = np.flatnonzero(avail)
     if not J.size:
         raise ValueError("no unvisited cities to choose from")
-    w = _row_weights(tau[r], _inverse_distance(inst.dist[r]) ** beta, avail)
+    w = tau[r] * _inverse_distance(inst.dist[r]) ** beta * avail
     total = w.sum()
     if not 0.0 < total < math.inf:
         return np.full(J.size, 1.0 / J.size)
     return w[J] / total
 
 
-def local_update(tau: np.ndarray, r: int, s: int, rho: float, tau0: float) -> None:
-    """Evaporate edge (r, s) toward the base level tau0, symmetrically."""
-    v = (1.0 - rho) * tau.item(r, s) + rho * tau0
-    tau[r, s] = v
-    tau[s, r] = v
+def local_update(tau: np.ndarray, r, s, rho: float, tau0: float) -> None:
+    """Evaporate edge (r, s) toward the base level tau0, symmetrically.
+
+    ``r`` and ``s`` are one edge's cities, or index arrays of distinct
+    edges, none the reverse of another (a tour's, for n >= 3): each edge is
+    updated from its own entry, with the bytes of one call per edge.
+    """
+    n = len(tau)
+    fwd = r * n + s
+    v = tau.take(fwd)
+    v *= 1.0 - rho
+    v += rho * tau0
+    tau.put(fwd, v)
+    tau.put(s * n + r, v)
 
 
 def _tour_edges(order: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,34 +225,27 @@ def construct_tour(
     rng: np.random.Generator,
     start: int,
     *,
-    eta_pow: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
     q0: float,
     rho: float,
     tau0: float,
 ) -> Tour:
     """Build one complete tour, locally updating every traversed edge.
 
-    Pass either ``eta_pow``, the heuristic matrix already raised to beta, or
-    ``weights``, the product ``tau * eta_pow`` that :func:`colony` keeps.
-    The steps read only weights toward unvisited cities, and a local update
-    only touches an edge between two visited ones, so the product taken when
-    the ant starts stays exact for the whole tour; ``weights`` is not
-    written.
+    ``weights`` is ``tau * heuristic_matrix(inst) ** beta``, the product
+    :func:`colony` keeps. The steps read only weights toward unvisited
+    cities, and a local update only touches an edge between two visited
+    ones, so the product taken when the ant starts stays exact for the whole
+    tour; ``weights`` is not written.
 
-    No step reads ``tau`` and a tour's n edges are distinct, so the local
-    updates are applied once per tour, after it closes, each edge from its
-    own entry: the bytes equal those of updating edge by edge. A step uses
-    one or two uniforms. They are drawn in blocks: when one runs out, the
-    next holds one uniform per step still to take, the current one
-    included, so every block is used up and the generator ends where one
-    draw at a time would leave it, for any bit generator, without its
-    state being read or written.
+    No step reads ``tau``, so :func:`local_update` is applied once per tour,
+    after it closes, to its n edges at once. A step uses one or two
+    uniforms. They are drawn in blocks: when one runs out, the next holds
+    one uniform per step still to take, the current one included, so every
+    block is used up and the generator ends where one draw at a time would
+    leave it, for any bit generator, without its state being read or
+    written.
     """
-    if (eta_pow is None) == (weights is None):
-        raise TypeError("pass exactly one of eta_pow and weights")
-    if weights is None:
-        weights = tau * eta_pow
     n = inst.dimension
     if not 0 <= start < n:
         raise IndexError(f"start city {start} out of range for n={n}")
@@ -265,14 +262,11 @@ def construct_tour(
         order.append(s)
         r = s
 
-    fwd, bwd = _tour_edges(np.array(order, dtype=np.intp), n)
-    v = tau.take(fwd)
-    v *= 1.0 - rho
-    v += rho * tau0
-    tau.put(fwd, v)
-    tau.put(bwd, v)
+    closed = np.array(order + [start], dtype=np.intp)
+    r, s = closed[:-1], closed[1:]
+    local_update(tau, r, s, rho, tau0)
     # the order is a permutation by construction, so skip tour_length's check
-    return Tour(order=tuple(order), length=int(inst.dist.take(fwd).sum()))
+    return Tour(order=tuple(order), length=int(inst.dist.take(r * n + s).sum()))
 
 
 # Work is counted in entries: a rebuild writes n * n, a refresh the 2n

@@ -230,6 +230,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     traces: dict[tuple[str, str, int], ParameterTrace] = {}
     failures: list[InstanceFailure] = []
     paths_by_name: dict[str, str] = {}
+    params = AcsParams(
+        beta=config.acs_beta,
+        rho=config.acs_rho,
+        q0=config.acs_q0,
+        alpha=config.alpha,
+        m=config.ants,
+    )
+    hybrid_config = HybridConfig(
+        iterations=config.iterations,
+        m=config.ants,
+        bounds=config.bounds,
+        alpha=config.alpha,
+        fa_alpha0=config.fa_alpha0,
+    )
 
     for path in config.instances:
         try:
@@ -248,22 +262,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 seed = config.seed_for(rep)
                 rng = np.random.default_rng(seed)
                 if algo == "acs":
-                    params = AcsParams(
-                        beta=config.acs_beta,
-                        rho=config.acs_rho,
-                        q0=config.acs_q0,
-                        alpha=config.alpha,
-                        m=config.ants,
-                    )
                     record = run_acs(inst, params, config.iterations, rng)
                 else:
-                    hybrid_config = HybridConfig(
-                        iterations=config.iterations,
-                        m=config.ants,
-                        bounds=config.bounds,
-                        alpha=config.alpha,
-                        fa_alpha0=config.fa_alpha0,
-                    )
                     record, trace = run_acsfa(inst, hybrid_config, rng)
                     traces[(algo, inst.name, seed)] = trace
                 record = replace(record, seed=seed)

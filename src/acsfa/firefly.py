@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,31 +51,30 @@ class ParamBounds:
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
             check_bounds(name, *getattr(self, name))
-        sides = tuple(
-            (low, high, high - low) for low, high in (map(float, getattr(self, n)) for n in PARAM_NAMES)
-        )
-        object.__setattr__(self, "_sides", sides)
-        for attr, column in (("_lows", 0), ("_highs", 1), ("_widths", 2)):
-            values = np.array([side[column] for side in sides])
-            values.setflags(write=False)
-            object.__setattr__(self, attr, values)
 
-    @property
-    def lows(self) -> np.ndarray:
-        return self._lows  # type: ignore[attr-defined]
-
-    @property
-    def highs(self) -> np.ndarray:
-        return self._highs  # type: ignore[attr-defined]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self._widths  # type: ignore[attr-defined]
-
-    @property
+    @cached_property
     def sides(self) -> tuple[tuple[float, float, float], ...]:
         """(low, high, width) of each dimension as plain floats, for the scalar math in :func:`move`."""
-        return self._sides  # type: ignore[attr-defined]
+        return tuple(
+            (low, high, high - low) for low, high in (map(float, getattr(self, n)) for n in PARAM_NAMES)
+        )
+
+    def _column(self, k: int) -> np.ndarray:
+        values = np.array([side[k] for side in self.sides])
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def lows(self) -> np.ndarray:
+        return self._column(0)
+
+    @cached_property
+    def highs(self) -> np.ndarray:
+        return self._column(1)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        return self._column(2)
 
     def contains(self, vec: "ParamVector") -> bool:
         return all(low <= x <= high for x, (low, high, _) in zip(vec, self.sides))

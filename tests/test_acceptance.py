@@ -177,7 +177,7 @@ class TestCriterion7Invariants:
                 tau,
                 rng,
                 int(rng.integers(8)),
-                eta_pow=heuristic_matrix(inst) ** vector.beta,
+                weights=tau * heuristic_matrix(inst) ** vector.beta,
                 q0=vector.q0,
                 rho=vector.rho,
                 tau0=tau0,

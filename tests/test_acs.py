@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acsfa.acs
 from acsfa.acs import (
     AcsParams,
     _choose,
     _heuristic_levels,
-    _row_weights,
     _WeightProduct,
     colony,
     compute_tau0,
@@ -211,11 +211,11 @@ def choose_next(r, unvisited, tau, inst, beta, q0, rng) -> int:
     avail = np.zeros(inst.dimension)
     avail[list(unvisited)] = 1.0
     eta_pow = heuristic_matrix(inst)[r] ** beta
-    return _choose(_row_weights(tau[r], eta_pow, avail), avail, q0, rng.random)
+    return _choose(tau[r] * eta_pow * avail, avail, q0, rng.random)
 
 
 class TestSelectNextCity:
-    """The transition rule as construct_tour applies it: _choose over _row_weights."""
+    """The transition rule as construct_tour applies it: _choose over a masked weight row."""
 
     def test_pure_exploitation_takes_argmax(self):
         inst = explicit([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
@@ -272,6 +272,19 @@ class TestLocalUpdate:
             assert tau[0, 1] < prev or tau[0, 1] == pytest.approx(0.1)
             prev = tau[0, 1]
         assert prev == pytest.approx(0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 16, 51])
+    def test_tour_edges_at_once_match_edge_by_edge(self, n):
+        # an asymmetric matrix: each edge must be read from its own entry
+        rng = np.random.default_rng(n)
+        tau = 0.05 * (1.0 + rng.random((n, n)))
+        order = rng.permutation(n)
+        nxt = np.roll(order, -1)
+        expected = tau.copy()
+        for r, s in zip(order.tolist(), nxt.tolist()):
+            local_update(expected, r, s, rho=0.3, tau0=0.01)
+        local_update(tau, order, nxt, rho=0.3, tau0=0.01)
+        assert tau.tobytes() == expected.tobytes()
 
 
 class TestGlobalUpdate:
@@ -377,11 +390,10 @@ class TestHeuristicPower:
         assert np.array_equal(table[index], heuristic_matrix(inst))
 
 
-def ant_settings(inst: TspInstance, beta: float = 2.0, **values) -> dict:
-    """construct_tour's keyword values: AcsParams defaults, tau0 from the instance."""
+def ant_settings(inst: TspInstance, beta: float = 2.0, **values) -> tuple[np.ndarray, dict]:
+    """eta ** beta, and construct_tour's other keyword values: AcsParams defaults, tau0 from the instance."""
     defaults = AcsParams()
-    return {
-        "eta_pow": heuristic_matrix(inst) ** beta,
+    return heuristic_matrix(inst) ** beta, {
         "q0": defaults.q0,
         "rho": defaults.rho,
         "tau0": compute_tau0(inst),
@@ -391,47 +403,57 @@ def ant_settings(inst: TspInstance, beta: float = 2.0, **values) -> dict:
 
 class TestConstructTour:
     def test_triangle_always_unique_cycle(self, tiny3):
-        ant = ant_settings(tiny3)
+        eta_pow, ant = ant_settings(tiny3)
         tau = init_pheromone(3, ant["tau0"])
         for seed in range(10):
-            tour = construct_tour(tiny3, tau, np.random.default_rng(seed), seed % 3, **ant)
+            tour = construct_tour(tiny3, tau, np.random.default_rng(seed), seed % 3, weights=tau * eta_pow, **ant)
             assert tour.length == 3
 
     def test_always_a_permutation(self, eil51):
-        ant = ant_settings(eil51)
+        eta_pow, ant = ant_settings(eil51)
         tau = init_pheromone(51, ant["tau0"])
         for seed in range(25):
-            tour = construct_tour(eil51, tau, np.random.default_rng(seed), 0, **ant)
+            tour = construct_tour(eil51, tau, np.random.default_rng(seed), 0, weights=tau * eta_pow, **ant)
             assert sorted(tour.order) == list(range(51))
             assert tour.length == tour_length(eil51, tour.order)
 
     def test_exploitation_on_square_matches_enumeration(self, square40):
         # q0=1 and a large beta on uniform pheromone follows the nearest
         # neighbor; enumeration confirms the perimeter is the optimum
-        ant = ant_settings(square40, beta=5.0, q0=1.0)
+        eta_pow, ant = ant_settings(square40, beta=5.0, q0=1.0)
         tau = init_pheromone(4, ant["tau0"])
-        tour = construct_tour(square40, tau, np.random.default_rng(0), 0, **ant)
+        tour = construct_tour(square40, tau, np.random.default_rng(0), 0, weights=tau * eta_pow, **ant)
         assert tour.length == 40
         assert tour.length == brute_force(square40).length
 
     def test_local_update_applied_on_traversed_edges(self, square40):
-        ant = ant_settings(square40, beta=5.0, q0=1.0, rho=0.5, tau0=0.125)
+        eta_pow, ant = ant_settings(square40, beta=5.0, q0=1.0, rho=0.5, tau0=0.125)
         tau = init_pheromone(4, 4.0)
-        tour = construct_tour(square40, tau, np.random.default_rng(0), 0, **ant)
+        tour = construct_tour(square40, tau, np.random.default_rng(0), 0, weights=tau * eta_pow, **ant)
         order = tour.order
         for k in range(4):
             r, s = order[k], order[(k + 1) % 4]
             assert tau[r, s] < 4.0  # pulled toward tau0, closing edge included
         assert tau[0, 2] == 4.0  # diagonal never traversed
 
-    def test_takes_exactly_one_of_eta_pow_and_weights(self, tiny3):
-        ant = ant_settings(tiny3)
-        tau = init_pheromone(3, ant["tau0"])
-        with pytest.raises(TypeError, match="exactly one"):
-            construct_tour(tiny3, tau, np.random.default_rng(0), 0, weights=tau * ant["eta_pow"], **ant)
-        del ant["eta_pow"]
-        with pytest.raises(TypeError, match="exactly one"):
-            construct_tour(tiny3, tau, np.random.default_rng(0), 0, **ant)
+    def test_applies_local_update_once_over_the_tour_edges(self, eil51, monkeypatch):
+        calls = []
+        real_local_update = acsfa.acs.local_update
+
+        def spy(tau, r, s, rho, tau0):
+            calls.append((tau, list(zip(r.tolist(), s.tolist())), rho, tau0))
+            real_local_update(tau, r, s, rho, tau0)
+
+        monkeypatch.setattr(acsfa.acs, "local_update", spy)
+        eta_pow, ant = ant_settings(eil51, rho=0.3)
+        tau = init_pheromone(51, ant["tau0"])
+        for seed in range(3):
+            tour = construct_tour(eil51, tau, np.random.default_rng(seed), seed, weights=tau * eta_pow, **ant)
+            ((seen_tau, edges, rho, tau0),) = calls
+            assert seen_tau is tau
+            assert edges == list(zip(tour.order, tour.order[1:] + tour.order[:1]))
+            assert (rho, tau0) == (0.3, ant["tau0"])
+            calls.clear()
 
 
 def colony_iterations(inst: TspInstance, count: int, seed: int = 0) -> list:
@@ -521,14 +543,14 @@ class TestRunAcs:
 
     def test_pheromone_floor_invariant(self, ulysses16):
         # after T global updates every entry stays above tau0 * (1 - alpha)^T
-        ant = ant_settings(ulysses16)
+        eta_pow, ant = ant_settings(ulysses16)
         alpha = AcsParams().alpha
         tau = init_pheromone(16, ant["tau0"])
         rng = np.random.default_rng(2)
         iterations = 50
         for _ in range(iterations):
             for _ in range(3):
-                construct_tour(ulysses16, tau, rng, int(rng.integers(16)), **ant)
+                construct_tour(ulysses16, tau, rng, int(rng.integers(16)), weights=tau * eta_pow, **ant)
             perm = tuple(int(c) for c in rng.permutation(16))
             global_update(tau, Tour(order=perm, length=tour_length(ulysses16, perm)), alpha)
         floor = ant["tau0"] * (1.0 - alpha) ** iterations

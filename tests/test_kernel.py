@@ -20,7 +20,6 @@ import acsfa.acs
 from acsfa.acs import (
     AcsParams,
     _choose,
-    _row_weights,
     colony,
     compute_tau0,
     construct_tour,
@@ -106,7 +105,7 @@ ignore_overflow = pytest.mark.filterwarnings("ignore:overflow encountered in acc
 def _kernel_and_reference(tau, eta_pow, visited):
     J = np.flatnonzero(~visited)
     avail = (~visited).astype(float)
-    return J, tau[J] * eta_pow[J], avail, _row_weights(tau, eta_pow, avail)
+    return J, tau[J] * eta_pow[J], avail, tau * eta_pow * avail
 
 
 @ignore_overflow
@@ -150,14 +149,14 @@ def test_solvers_emit_no_runtime_warning(eil51):
 
 def test_underflowed_row_exploits_the_lowest_unvisited_city():
     avail = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
-    w = _row_weights(np.full(5, 1e-200), np.full(5, 1e-200), avail)
+    w = np.full(5, 1e-200) * np.full(5, 1e-200) * avail
     assert not w.any()
     assert _choose(w, avail, 1.0, np.random.default_rng(0).random) == 2
 
 
 def test_draw_at_the_total_samples_the_last_unvisited_city():
     avail = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-    w = _row_weights(np.ones(5), np.ones(5), avail)
+    w = np.ones(5) * np.ones(5) * avail
     assert _choose(w, avail, 0.0, ScriptedRng([0.5, 1.0]).random) == 2
 
 
@@ -176,12 +175,13 @@ def test_construct_tour_matches_reference(n, beta, rho, q0, seed):
     noise = setup.random((n, n))
     tau = tau0 * (1.0 + noise + noise.T)
     ref_tau = tau.copy()
-    ant = {"eta_pow": heuristic_matrix(inst) ** beta, "q0": q0, "rho": rho, "tau0": tau0}
+    eta_pow = heuristic_matrix(inst) ** beta
+    ant = {"q0": q0, "rho": rho, "tau0": tau0}
     start = int(setup.integers(n))
 
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, **ant)
-    got = construct_tour(inst, tau, rng, start, **ant)
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, eta_pow=eta_pow, **ant)
+    got = construct_tour(inst, tau, rng, start, weights=tau * eta_pow, **ant)
     assert got == expected
     assert tau.tobytes() == ref_tau.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -206,23 +206,25 @@ def same_state(a, b) -> bool:
     bit_generator=st.sampled_from(BIT_GENERATORS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_construct_tour_rewinds_any_bit_generator(n, beta, rho, q0, bit_generator, seed):
-    # the uniforms come in one block and the generator is rewound to the
-    # draws used; the integers() call first leaves a buffered uint32 live on
-    # every generator but MT19937, as the colony's random start does
+def test_construct_tour_matches_reference_on_any_bit_generator(n, beta, rho, q0, bit_generator, seed):
+    # the uniforms come in blocks sized to the steps left, so the generator
+    # ends where one draw at a time leaves it; the integers() call first
+    # leaves a buffered uint32 live on every generator but MT19937, as the
+    # colony's random start does
     setup = np.random.default_rng(seed)
     inst = TspInstance(name="r", dimension=n, metric="EUC_2D", coords=setup.random((n, 2)) * 100)
     tau0 = float(setup.random()) + 1e-3
     noise = setup.random((n, n))
     tau = tau0 * (1.0 + noise + noise.T)
     ref_tau = tau.copy()
-    ant = {"eta_pow": heuristic_matrix(inst) ** beta, "q0": q0, "rho": rho, "tau0": tau0}
+    eta_pow = heuristic_matrix(inst) ** beta
+    ant = {"q0": q0, "rho": rho, "tau0": tau0}
 
     ref_rng, rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
     start = int(ref_rng.integers(n))
     assert int(rng.integers(n)) == start
-    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, **ant)
-    got = construct_tour(inst, tau, rng, start, **ant)
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, eta_pow=eta_pow, **ant)
+    got = construct_tour(inst, tau, rng, start, weights=tau * eta_pow, **ant)
     assert got == expected
     assert tau.tobytes() == ref_tau.tobytes()
     assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
@@ -255,13 +257,14 @@ def test_construct_tour_leaves_the_generator_state_alone(n, beta, q0, seed):
     tau0 = float(setup.random()) + 1e-3
     tau = np.full((n, n), tau0)
     ref_tau = tau.copy()
-    ant = {"eta_pow": heuristic_matrix(inst) ** beta, "q0": q0, "rho": 0.1, "tau0": tau0}
+    eta_pow = heuristic_matrix(inst) ** beta
+    ant = {"q0": q0, "rho": 0.1, "tau0": tau0}
 
     ref_rng, rng = np.random.Generator(np.random.PCG64(seed)), np.random.Generator(SealedPCG64(seed))
     start = int(ref_rng.integers(n))
     assert int(rng.integers(n)) == start
-    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, **ant)
-    assert construct_tour(inst, tau, rng, start, **ant) == expected
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, eta_pow=eta_pow, **ant)
+    assert construct_tour(inst, tau, rng, start, weights=tau * eta_pow, **ant) == expected
     assert tau.tobytes() == ref_tau.tobytes()
     assert rng.integers(2**40) == ref_rng.integers(2**40)
     assert rng.random() == ref_rng.random()
@@ -276,14 +279,15 @@ def test_two_draws_per_step_use_the_whole_block(bit_generator, level):
     inst = TspInstance(name="r", dimension=n, metric="EUC_2D", coords=np.random.default_rng(4).random((n, 2)) * 100)
     tau = np.full((n, n), level)
     ref_tau = tau.copy()
-    ant = {"eta_pow": np.full((n, n), level), "q0": 0.0, "rho": 0.1, "tau0": 0.01}
+    eta_pow = np.full((n, n), level)
+    ant = {"q0": 0.0, "rho": 0.1, "tau0": 0.01}
     assert (level * level == 0.0) == (level < 1.0)
     ref_rng, rng, full = (np.random.Generator(bit_generator(3)) for _ in range(3))
     for g in (ref_rng, rng, full):
         g.integers(n)
     full.random(2 * (n - 1))
-    expected = reference_construct_tour(inst, ref_tau, ref_rng, 2, **ant)
-    assert construct_tour(inst, tau, rng, 2, **ant) == expected
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, 2, eta_pow=eta_pow, **ant)
+    assert construct_tour(inst, tau, rng, 2, weights=tau * eta_pow, **ant) == expected
     assert tau.tobytes() == ref_tau.tobytes()
     assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert same_state(rng.bit_generator.state, full.bit_generator.state)
