@@ -173,7 +173,7 @@ def transition_probabilities(
     return w[J] / total
 
 
-def local_update(tau: np.ndarray, r, s, rho: float, tau0: float) -> None:
+def local_update(tau: np.ndarray, r: int | np.ndarray, s: int | np.ndarray, rho: float, tau0: float) -> None:
     """Evaporate edge (r, s) toward the base level tau0, symmetrically.
 
     ``r`` and ``s`` are one edge's cities, or index arrays of distinct
