@@ -71,14 +71,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _read_optima(path: str) -> dict[str, float]:
     optima: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
+    given_on: dict[str, int] = {}
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         parts = stripped.replace(",", " ").split()
         if len(parts) != 2:
-            raise ValueError(f"optima file: expected 'name value' lines, got {stripped!r}")
-        optima[parts[0]] = float(parts[1])
+            raise ValueError(f"optima file line {number}: expected 'name value' lines, got {stripped!r}")
+        name, value = parts
+        if name in given_on:
+            raise ValueError(
+                f"optima file line {number}: instance {name!r} repeats line {given_on[name]}"
+            )
+        try:
+            optima[name] = float(value)
+        except ValueError:
+            raise ValueError(f"optima file line {number}: optimum {value!r} is not a number") from None
+        given_on[name] = number
     return optima
 
 

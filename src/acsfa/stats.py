@@ -1,17 +1,20 @@
 """Randomized-complete-block ANOVA and Tukey pairwise grouping.
 
 The response is one row per treatment (algorithm) and one column per block
-(problem instance). p-values come from the F upper tail
-(``scipy.special.fdtrc``); Tukey critical points come from
-numerically integrating the studentized range distribution, so any
-confidence level in (0, 1) works without table lookup.
+(problem instance). p-values come from the F upper tail, a regularised
+incomplete beta function evaluated by its continued fraction; Tukey critical
+points come from numerically integrating the studentized range distribution,
+so any confidence level in (0, 1) works without table lookup.
 
-scipy is imported inside the functions that call it, so importing the
-package (and with it the solvers) loads numpy only.
+Everything here runs on numpy and the standard library, with no scipy: its
+special functions would add ~0.3 s and ~24 MB to every analysis, for three
+functions that take a few dozen lines (``math.lgamma``, the incomplete beta
+below, and Cephes' rational approximations of erf and erfc).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -129,12 +132,10 @@ def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
         p_treat = 0.0 if ss_treat > 0 else 1.0
         p_block = 0.0 if ss_block > 0 else 1.0
     else:
-        from scipy.special import fdtrc
-
         f_treat = ms_treat / ms_error
         f_block = ms_block / ms_error
-        p_treat = fdtrc(df_treat, df_error, f_treat)
-        p_block = fdtrc(df_block, df_error, f_block)
+        p_treat = _f_upper_tail(df_treat, df_error, f_treat)
+        p_block = _f_upper_tail(df_block, df_error, f_block)
 
     return AnovaTable(
         treatment=AnovaRow(df_treat, ss_treat, ms_treat),
@@ -147,6 +148,107 @@ def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
         p_block=float(p_block),
         degenerate=degenerate,
     )
+
+
+def _f_upper_tail(d1: int, d2: int, f: float) -> float:
+    """P(F > f) for F with (d1, d2) degrees of freedom: I_x(d2 / 2, d1 / 2) at x = d2 / (d2 + d1 f)."""
+    r = d1 * f / d2
+    if r <= 0.0:
+        return 1.0
+    if r == math.inf:
+        return 0.0
+    # x and 1 - x are each computed from r, so neither loses digits to the other
+    return _beta_regularized(d2 / 2.0, d1 / 2.0, 1.0 / (1.0 + r), r / (1.0 + r))
+
+
+def _beta_regularized(a: float, b: float, x: float, y: float) -> float:
+    """The regularised incomplete beta I_x(a, b), given x in (0, 1) and y = 1 - x.
+
+    The continued fraction converges fast only for x < (a + 1) / (a + b + 2),
+    so above that point this returns 1 - I_y(b, a).
+    """
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    log_front = a * math.log(x) + b * math.log(y) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    value = math.exp(log_front) / (a * _beta_fraction(a, b, x))
+    return 1.0 - value if swap else value
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """1 + d1 / (1 + d2 / (1 + ...)), the continued fraction of I_x(a, b), by Lentz's method.
+
+    d(2m+1) = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)) and
+    d(2m) = m (b - m) x / ((a + 2m - 1)(a + 2m)); each convergent is the last
+    times c * d, and a zero term (b = m) ends the fraction exactly.
+    """
+    tiny = 1e-300
+    f, c, d = 1.0, 1.0, 0.0
+    m = 0
+    while True:
+        for num in (
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+            (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            delta = c * d
+            f *= delta
+            if abs(delta - 1.0) <= 1e-15:
+                return f
+        m += 1
+
+
+# Cephes' erf on |x| < 1 as x T(x^2) / U(x^2), and erfc on 1 <= x < 8 as
+# exp(-x^2) P(x) / Q(x); coefficients from highest degree down
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+
+
+def _horner(coefs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, to ~1e-16 absolute.
+
+    Arguments below -8.5 give 0 (the true value is below 1e-17), so
+    |x| = |a| / sqrt(2) stays under 6.02 and erfc needs only its x < 8 form.
+    """
+    x = a * math.sqrt(0.5)
+    ax = np.abs(x)
+    out = np.zeros_like(x)
+    near = ax < 1.0
+    xn = x[near]
+    s = xn * xn
+    out[near] = 0.5 + 0.5 * xn * _horner(_ERF_T, s) / _horner(_ERF_U, s)
+    far = ~near & (x > -8.5 * math.sqrt(0.5))
+    xf = ax[far]
+    tail = 0.5 * np.exp(-xf * xf) * _horner(_ERFC_P, xf) / _horner(_ERFC_Q, xf)
+    out[far] = np.where(x[far] > 0.0, 1.0 - tail, tail)
+    return out
 
 
 # cached per node count only: the u-grid's ends move with q
@@ -163,13 +265,16 @@ def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _normal_range_cdf(w: np.ndarray, k: int) -> np.ndarray:
     """P(range of k iid standard normals <= w), vectorized over w."""
-    from scipy.special import ndtr
-
     z, zw = _gauss_nodes(512, -9.0, 9.0)
     phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    inner = ndtr(z)[None, :] - ndtr(z[None, :] - w[:, None])
-    inner = np.clip(inner, 0.0, 1.0)
-    vals = k * ((inner ** (k - 1)) * phi[None, :]) @ zw
+    cdf_z = _ndtr(z)
+    vals = np.empty(len(w))
+    # 64 rows at a time: each temporary is 256 KB, which malloc keeps for
+    # reuse, where whole (len(w), 512) temporaries could go back to the OS
+    # after every call and be faulted in again, at up to twice the time
+    for i in range(0, len(w), 64):
+        inner = np.clip(cdf_z - _ndtr(z - w[i : i + 64, None]), 0.0, 1.0)
+        vals[i : i + 64] = k * ((inner ** (k - 1)) * phi) @ zw
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -185,8 +290,6 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if q <= 0:
         return 0.0
-    from scipy.special import gammaln
-
     hi = 1.0 + 12.0 / np.sqrt(df)
     lo = max(0.0, 1.0 - 12.0 / np.sqrt(df))
     # the normal-range CDF at q * u climbs from 0 to within ~1e-12 of 1 over
@@ -196,7 +299,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     edges = (lo, cut, hi) if lo < cut < hi else (lo, hi)
     n = 384 // (len(edges) - 1)
     u, uw = map(np.concatenate, zip(*(_gauss_nodes(n, a, b) for a, b in zip(edges, edges[1:]))))
-    log_c = 0.5 * df * np.log(df) - gammaln(df / 2.0) - (df / 2.0 - 1.0) * np.log(2.0)
+    log_c = 0.5 * df * np.log(df) - math.lgamma(df / 2.0) - (df / 2.0 - 1.0) * np.log(2.0)
     log_g = log_c + (df - 1.0) * np.log(u) - 0.5 * df * u * u
     val = float((np.exp(log_g) * _normal_range_cdf(q * u, k)) @ uw)
     return min(max(val, 0.0), 1.0)
@@ -340,7 +443,15 @@ def read_response_matrix(text: str) -> ResponseMatrix:
         if len(cells) != len(blocks) + 1:
             raise ValueError(f"row {cells[0]!r} has {len(cells) - 1} cells, expected {len(blocks)}")
         treatments.append(cells[0])
-        values.append([float(c) for c in cells[1:]])
+        row = []
+        for block, cell in zip(blocks, cells[1:]):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"row {cells[0]!r}, column {block!r}: cell {cell!r} is not a number"
+                ) from None
+        values.append(row)
     return ResponseMatrix(np.array(values), tuple(treatments), tuple(blocks))
 
 

@@ -108,6 +108,23 @@ class TestStats:
         assert main(["stats", str(matrix), "--response", "error"]) == 2
         assert "optima" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "optima, message",
+        [
+            ("ulysses16 6859\nbays29 9\neil51 426\nbays29 2020\n", "line 4: instance 'bays29' repeats line 2"),
+            ("ulysses16 6859\n# a comment\nbays29 abc\neil51 426\n", "line 3: optimum 'abc' is not a number"),
+        ],
+        ids=["repeated name", "non-numeric optimum"],
+    )
+    def test_bad_optima_line_is_named(self, tmp_path, capsys, optima, message):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text(MATRIX)
+        path = tmp_path / "optima.txt"
+        path.write_text(optima)
+        assert main(["stats", str(matrix), "--response", "error", "--optima", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_bad_confidence_prints_no_report(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.csv"

@@ -24,8 +24,7 @@ def scipy_loaded_after(code: str) -> set[str]:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds ~0.6 s and ~46 MB to the import; the statistics
-    # functions need only scipy.special, and import it when called
+    # scipy.stats adds ~0.6 s and ~46 MB to the import
     assert not any(m.startswith("scipy.stats") for m in scipy_loaded_after("import acsfa"))
 
 
@@ -35,15 +34,20 @@ def test_import_loads_no_scipy():
     assert scipy_loaded_after("import acsfa, acsfa.cli") == set()
 
 
-def test_tukey_loads_scipy_special_but_not_optimize():
+def test_statistics_load_no_scipy(tmp_path):
+    # the ANOVA, the Tukey grouping and the stats CLI run on numpy and math
+    # alone; scipy.special would add ~0.3 s and ~24 MB to every analysis
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("treatment,x,y,z\na,1,2,4\nb,3,5,4\n")
     code = (
-        "import numpy as np, acsfa\n"
-        "acsfa.tukey_hsd(acsfa.ResponseMatrix("
-        "np.array([[1.0, 2.0, 4.0], [3.0, 5.0, 4.0]]), ('a', 'b'), ('x', 'y', 'z')))"
+        "import contextlib, io, numpy as np, acsfa, acsfa.cli\n"
+        "m = acsfa.ResponseMatrix(np.array([[1.0, 2.0, 4.0], [3.0, 5.0, 4.0]]), ('a', 'b'), ('x', 'y', 'z'))\n"
+        "assert acsfa.rcbd_anova(m).error.ms > 0.0\n"
+        "acsfa.tukey_hsd(m)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert acsfa.cli.main(['stats', {str(matrix)!r}]) == 0\n"
     )
-    loaded = scipy_loaded_after(code)
-    assert "scipy.special" in loaded
-    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    assert scipy_loaded_after(code) == set()
 
 
 def test_every_exported_name_resolves():

@@ -63,6 +63,10 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match="unique"):
             ResponseMatrix(np.zeros((2, 2)), ("a", "a"), ("x", "y"))
 
+    def test_non_numeric_cell_names_its_row_and_column(self):
+        with pytest.raises(ValueError, match="row 'b', column 'y': cell 'zz' is not a number"):
+            read_response_matrix("treatment,x,y\na,1,2\nb,3,zz\n")
+
     def test_round_trip_text(self, errors):
         again = read_response_matrix(write_response_matrix(errors))
         assert again.treatments == errors.treatments
@@ -221,6 +225,23 @@ class TestFUpperTail:
         assert table.f_treatment == table.f_block == float("inf")
         assert table.p_treatment == table.p_block == 0.0
 
+    def test_matches_scipy_fdtrc(self):
+        grid = (1, 2, 3, 4, 5, 7, 10, 14, 22, 33, 50, 75, 100, 150, 199, 200)
+        dfs = [(d1, d2) for d1 in grid for d2 in grid]
+        dfs += [(d1, 22) for d1 in range(1, 201)] + [(2, d2) for d2 in range(1, 201)]
+        fs = [*np.linspace(0.0, 1e3, 21), *np.logspace(-3.0, 3.0, 61)]
+        worst = max(
+            abs(stats._f_upper_tail(d1, d2, f) - special.fdtrc(d1, d2, f)) for d1, d2 in dfs for f in fs
+        )
+        assert worst <= 1e-12
+
+    def test_ends_and_nan(self):
+        for d1, d2 in [(1, 1), (2, 22), (11, 22), (200, 200)]:
+            assert stats._f_upper_tail(d1, d2, 0.0) == 1.0
+            assert stats._f_upper_tail(d1, d2, 1e300) <= 1e-150
+            assert stats._f_upper_tail(d1, d2, math.inf) == 0.0
+            assert math.isnan(stats._f_upper_tail(d1, d2, math.nan))
+
     def test_strictly_decreasing_in_f(self):
         # shifting whole treatment rows apart leaves the residual as it is and raises F
         base = np.array([[3.0, 1.0, 4.0, 1.0], [5.0, 9.0, 2.0, 6.0], [5.0, 3.0, 5.0, 8.0]])
@@ -233,6 +254,14 @@ class TestFUpperTail:
         ps = [t.p_treatment for t in tables]
         assert all(a < b for a, b in zip(fs, fs[1:]))
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+class TestNormalCdf:
+    """The normal CDF under the studentized range integral."""
+
+    def test_matches_scipy_ndtr(self):
+        a = np.linspace(-40.0, 40.0, 800_001)
+        assert np.abs(stats._ndtr(a) - special.ndtr(a)).max() <= 1e-13
 
 
 class TestStudentizedRange:
