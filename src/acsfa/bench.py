@@ -8,7 +8,6 @@ inside the solvers, never around file I/O.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,39 +38,58 @@ KNOWN_OPTIMA = {
 }
 
 
+# config key, the class that owns its default and range check, and its field there
+_SOLVER_KEYS = (
+    ("iterations", HybridConfig, "iterations"),
+    ("ants", AcsParams, "m"),
+    ("acs_beta", AcsParams, "beta"),
+    ("acs_rho", AcsParams, "rho"),
+    ("acs_q0", AcsParams, "q0"),
+    ("alpha", AcsParams, "alpha"),
+    ("fa_alpha0", HybridConfig, "fa_alpha0"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; defaults mirror the standard setup."""
+    """Validated experiment description.
+
+    Each solver setting takes its default and range check from its owner,
+    :class:`AcsParams` or :class:`HybridConfig`; ``acs`` and ``hybrid`` hold
+    the validated settings that the two solvers run with.
+    """
 
     instances: tuple[str, ...]
     algorithms: tuple[str, ...] = ALGORITHMS
     repetitions: int = 10
-    iterations: int = 1000
-    ants: int = 10
+    iterations: int = HybridConfig.iterations
+    ants: int = AcsParams.m
     base_seed: int = 0
     seeds: tuple[int, ...] | None = None
     bounds: ParamBounds = field(default_factory=ParamBounds)
-    acs_beta: float = 2.0
-    acs_rho: float = 0.1
-    acs_q0: float = 0.85
-    alpha: float = 0.1
-    fa_alpha0: float = 2.3
+    acs_beta: float = AcsParams.beta
+    acs_rho: float = AcsParams.rho
+    acs_q0: float = AcsParams.q0
+    alpha: float = AcsParams.alpha
+    fa_alpha0: float = HybridConfig.fa_alpha0
     output_dir: str = "acsfa-out"
+    acs: AcsParams = field(init=False)
+    hybrid: HybridConfig = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.instances:
             raise ValueError("instances: at least one instance file is required")
         object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "algorithms", tuple(a.lower() for a in self.algorithms))
-        for algo in self.algorithms:
+        if not self.algorithms:
+            raise ValueError("algorithms: at least one algorithm is required")
+        for k, algo in enumerate(self.algorithms):
             if algo not in ALGORITHMS:
                 raise ValueError(f"algorithms: unknown algorithm {algo!r} (expected acs/acsfa)")
+            if algo in self.algorithms[:k]:
+                raise ValueError(f"algorithms: algorithm {algo!r} is repeated")
         if self.repetitions < 1:
             raise ValueError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations: must be >= 0, got {self.iterations}")
-        if self.ants < 1:
-            raise ValueError(f"ants: must be >= 1, got {self.ants}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
         if self.seeds is not None:
@@ -85,16 +103,17 @@ class ExperimentConfig:
             repeated = next((s for k, s in enumerate(self.seeds) if s in self.seeds[:k]), None)
             if repeated is not None:
                 raise ValueError(f"seeds: seed {repeated} is repeated")
-        if not 0.0 < self.acs_rho < 1.0:
-            raise ValueError(f"acs_rho: must lie in (0, 1), got {self.acs_rho}")
-        if not 0.0 <= self.acs_q0 <= 1.0:
-            raise ValueError(f"acs_q0: must lie in [0, 1], got {self.acs_q0}")
-        if not 0.0 <= self.acs_beta < math.inf:
-            raise ValueError(f"acs_beta: must be finite and >= 0, got {self.acs_beta}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha: must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.fa_alpha0 < math.inf:
-            raise ValueError(f"fa_alpha0: must be finite and positive, got {self.fa_alpha0}")
+        for key, owner, name in _SOLVER_KEYS:
+            try:
+                owner(**{name: getattr(self, key)})
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        acs = AcsParams(beta=self.acs_beta, rho=self.acs_rho, q0=self.acs_q0, alpha=self.alpha, m=self.ants)
+        hybrid = HybridConfig(
+            iterations=self.iterations, m=self.ants, bounds=self.bounds, alpha=self.alpha, fa_alpha0=self.fa_alpha0
+        )
+        object.__setattr__(self, "acs", acs)
+        object.__setattr__(self, "hybrid", hybrid)
 
     def seed_for(self, repetition: int) -> int:
         if self.seeds is not None:
@@ -114,7 +133,8 @@ class ExperimentSummary:
     t_avg_s: float
 
     def __post_init__(self) -> None:
-        if not self.best <= self.average <= self.worst:
+        # the average is rounded once to a float, and rounding is monotone
+        if not float(self.best) <= self.average <= float(self.worst):
             raise ValueError(f"aggregate ordering violated: {self.best}/{self.average}/{self.worst}")
         if not self.t_avg_s > 0:
             raise ValueError(f"average time must be positive, got {self.t_avg_s}")
@@ -230,20 +250,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     traces: dict[tuple[str, str, int], ParameterTrace] = {}
     failures: list[InstanceFailure] = []
     paths_by_name: dict[str, str] = {}
-    params = AcsParams(
-        beta=config.acs_beta,
-        rho=config.acs_rho,
-        q0=config.acs_q0,
-        alpha=config.alpha,
-        m=config.ants,
-    )
-    hybrid_config = HybridConfig(
-        iterations=config.iterations,
-        m=config.ants,
-        bounds=config.bounds,
-        alpha=config.alpha,
-        fa_alpha0=config.fa_alpha0,
-    )
 
     for path in config.instances:
         try:
@@ -262,9 +268,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 seed = config.seed_for(rep)
                 rng = np.random.default_rng(seed)
                 if algo == "acs":
-                    record = run_acs(inst, params, config.iterations, rng)
+                    record = run_acs(inst, config.acs, config.iterations, rng)
                 else:
-                    record, trace = run_acsfa(inst, hybrid_config, rng)
+                    record, trace = run_acsfa(inst, config.hybrid, rng)
                     traces[(algo, inst.name, seed)] = trace
                 record = replace(record, seed=seed)
                 cell_records.append(record)

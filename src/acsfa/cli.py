@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .acs import AcsParams, run_acs
-from .bench import export, format_trace, load_config, run_experiment
+from .bench import ALGORITHMS, export, format_trace, load_config, run_experiment
 from .exact import HELD_KARP_MAX, held_karp
 from .hybrid import HybridConfig, run_acsfa
 from .stats import error_matrix, rcbd_anova, read_response_matrix, tukey_hsd
@@ -88,6 +89,8 @@ def _read_optima(path: str) -> dict[str, float]:
             optima[name] = float(value)
         except ValueError:
             raise ValueError(f"optima file line {number}: optimum {value!r} is not a number") from None
+        if not math.isfinite(optima[name]):
+            raise ValueError(f"optima file line {number}: optimum {value!r} is not finite")
         given_on[name] = number
     return optima
 
@@ -143,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one seeded solve on a TSPLIB instance")
     p_solve.add_argument("instance", help="path to a TSPLIB file")
-    p_solve.add_argument("--algo", choices=("acs", "acsfa"), default="acsfa")
-    p_solve.add_argument("--iterations", type=int, default=1000)
-    p_solve.add_argument("--ants", type=int, default=10)
+    p_solve.add_argument("--algo", choices=ALGORITHMS, default="acsfa")
+    p_solve.add_argument("--iterations", type=int, default=HybridConfig.iterations)
+    p_solve.add_argument("--ants", type=int, default=AcsParams.m)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--trace", help="write the per-iteration trace to this file")
     p_solve.set_defaults(func=_cmd_solve)

@@ -34,28 +34,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acs import RunRecord, colony, nearest_neighbor_tour
+from .acs import AcsParams, RunRecord, colony, nearest_neighbor_tour
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Settings for a hybrid run; defaults follow the standard setup."""
+    """Settings for a hybrid run; ``m`` and ``alpha`` defer to :class:`AcsParams`."""
 
     iterations: int = 1000
-    m: int = 10
+    m: int = AcsParams.m
     bounds: ParamBounds = field(default_factory=ParamBounds)
-    alpha: float = 0.1
+    alpha: float = AcsParams.alpha
     fa_alpha0: float = 2.3
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.m < 1:
-            raise ValueError(f"ant count m must be >= 1, got {self.m}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        AcsParams(m=self.m, alpha=self.alpha)  # their owner checks m and alpha
         if not 0.0 < self.fa_alpha0 < math.inf:
             raise ValueError(f"fa_alpha0 must be finite and positive, got {self.fa_alpha0}")
 

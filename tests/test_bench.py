@@ -1,6 +1,11 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from acsfa.acs import AcsParams
 from acsfa.bench import (
     KNOWN_OPTIMA,
     ExperimentConfig,
@@ -14,6 +19,7 @@ from acsfa.bench import (
     run_experiment,
 )
 from acsfa.firefly import PARAM_NAMES, ParamBounds
+from acsfa.hybrid import HybridConfig
 from acsfa.tsplib import format_instance
 from conftest import random_euclidean
 
@@ -28,6 +34,19 @@ NODE_COORD_SECTION
 3 10 10
 4 10 0
 5 5 5
+EOF
+"""
+
+# every tour has length 2**60 + 1, which no float holds: its average rounds to 2**60
+BIG_INSTANCE = f"""\
+NAME : big3
+TYPE : TSP
+DIMENSION : 3
+EDGE_WEIGHT_TYPE : EXPLICIT
+EDGE_WEIGHT_FORMAT : UPPER_ROW
+EDGE_WEIGHT_SECTION
+{2**59} {2**58}
+{2**60 + 1 - 2**59 - 2**58}
 EOF
 """
 
@@ -65,6 +84,19 @@ class TestConfigParsing:
         assert config.bounds.gamma == (0.0, 10.0)
         assert config.bounds.delta == (0.8, 1.0)
         assert config.alpha == 0.1
+        assert config.acs == AcsParams()
+        assert config.hybrid == HybridConfig()
+
+    def test_solver_settings_follow_the_fields(self, mini_path):
+        config = ExperimentConfig(instances=(str(mini_path),), iterations=7, ants=3, acs_q0=0.5, alpha=0.2)
+        assert config.acs == AcsParams(q0=0.5, alpha=0.2, m=3)
+        assert config.hybrid == HybridConfig(iterations=7, m=3, alpha=0.2)
+        # replace() runs __post_init__ again, so the derived settings follow
+        changed = replace(config, ants=5, fa_alpha0=1.5)
+        assert changed.acs.m == changed.hybrid.m == 5
+        assert changed.hybrid.fa_alpha0 == 1.5
+        with pytest.raises(TypeError):
+            ExperimentConfig(instances=(str(mini_path),), acs=AcsParams())
 
     def test_full_config(self, mini_path):
         text = f"""
@@ -117,6 +149,32 @@ output_dir = results
             parse_config(f"instances = {mini_path}\n{key} = {value}\n")
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(instances=(str(mini_path),), **{key: float(value)})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("iterations", -1), ("ants", 0), ("acs_rho", 1), ("acs_q0", 1.5), ("alpha", 0)],
+    )
+    def test_out_of_range_setting_names_the_key(self, mini_path, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            parse_config(f"instances = {mini_path}\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ExperimentConfig(instances=(str(mini_path),), **{key: value})
+
+    @pytest.mark.parametrize(
+        "line, algorithms, message",
+        [
+            ("acs, acsfa, ACS", ("acs", "acsfa", "ACS"), "algorithm 'acs' is repeated"),
+            (",", (), "at least one algorithm is required"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_bad_algorithm_list_rejected(self, mini_path, line, algorithms, message):
+        # a repeated algorithm reruns its cells and overwrites their run files;
+        # an empty list runs nothing
+        with pytest.raises(ValueError, match=f"^algorithms: {message}"):
+            parse_config(f"instances = {mini_path}\nalgorithms = {line}\n")
+        with pytest.raises(ValueError, match=f"^algorithms: {message}"):
+            ExperimentConfig(instances=(str(mini_path),), algorithms=algorithms)
 
     def test_unknown_key_rejected(self, mini_path):
         with pytest.raises(ValueError, match="frobnicate"):
@@ -194,6 +252,16 @@ class TestRunExperiment:
             assert summary.best == min(lengths)
             assert summary.worst == max(lengths)
             assert summary.average == pytest.approx(sum(lengths) / len(lengths))
+
+    def test_lengths_above_2_53_aggregate(self, tmp_path):
+        path = tmp_path / "big3.tsp"
+        path.write_text(BIG_INSTANCE)
+        config = ExperimentConfig(
+            instances=(str(path),), repetitions=2, iterations=2, ants=2, output_dir=str(tmp_path / "o")
+        )
+        result = run_experiment(config)
+        assert [(s.best, s.worst) for s in result.summaries] == [(2**60 + 1, 2**60 + 1)] * 2
+        assert all(s.average == 2.0**60 for s in result.summaries)
 
     def test_single_repetition_collapses(self, mini_path, tmp_path):
         config = ExperimentConfig(
@@ -359,3 +427,13 @@ def test_known_optima_metadata():
     assert KNOWN_OPTIMA["ulysses16"] == 6859
     assert KNOWN_OPTIMA["eil51"] == 426
     assert len(KNOWN_OPTIMA) == 12
+
+
+def test_readme_config_shows_the_defaults():
+    # the README's commented overrides say they show the defaults: setting
+    # them must give the same config as leaving them out
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    overridden, count = re.subn(r"(?m)^# (?=\w+ = )", "", block)
+    assert count > 0
+    assert parse_config(overridden, base_dir=root) == parse_config(block, base_dir=root)

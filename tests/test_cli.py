@@ -113,8 +113,10 @@ class TestStats:
         [
             ("ulysses16 6859\nbays29 9\neil51 426\nbays29 2020\n", "line 4: instance 'bays29' repeats line 2"),
             ("ulysses16 6859\n# a comment\nbays29 abc\neil51 426\n", "line 3: optimum 'abc' is not a number"),
+            ("ulysses16 6859\nbays29 nan\neil51 426\n", "line 2: optimum 'nan' is not finite"),
+            ("ulysses16 inf\nbays29 2020\neil51 426\n", "line 1: optimum 'inf' is not finite"),
         ],
-        ids=["repeated name", "non-numeric optimum"],
+        ids=["repeated name", "non-numeric optimum", "nan optimum", "infinite optimum"],
     )
     def test_bad_optima_line_is_named(self, tmp_path, capsys, optima, message):
         matrix = tmp_path / "matrix.csv"
