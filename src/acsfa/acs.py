@@ -13,6 +13,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,6 +47,8 @@ class AcsParams:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not isinstance(self.m, Integral):
+            raise ValueError(f"ant count m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"ant count m must be >= 1, got {self.m}")
 
@@ -383,6 +386,8 @@ def run_acs(
     With ``iterations=0`` the greedy tour used for tau0 is returned, so the
     contract stays total.
     """
+    if not isinstance(iterations, Integral):
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     t0 = time.perf_counter()
@@ -391,12 +396,19 @@ def run_acs(
     trace: list[int] = []
     for best, _ in islice(colony(inst, rng, params.alpha, lambda: repeat(ant, params.m)), iterations):
         trace.append(best.length)
+    return _record("acs", inst, best, trace, t0)
+
+
+def _record(
+    algorithm: str,
+    inst: TspInstance,
+    best: Tour | None,
+    trace: list[int],
+    t0: float,
+    best_params: ParamVector | None = None,
+) -> RunRecord:
+    """The record of a run started at ``t0``; with no iteration run, its best
+    is the greedy tour that tau0 came from."""
     if best is None:
         best = nearest_neighbor_tour(inst, 0)
-    return RunRecord(
-        algorithm="acs",
-        instance=inst.name,
-        best_tour=best,
-        best_lengths=tuple(trace),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return RunRecord(algorithm, inst.name, best, tuple(trace), time.perf_counter() - t0, best_params=best_params)

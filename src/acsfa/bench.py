@@ -9,6 +9,8 @@ inside the solvers, never around file I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +90,17 @@ class ExperimentConfig:
                 raise ValueError(f"algorithms: unknown algorithm {algo!r} (expected acs/acsfa)")
             if algo in self.algorithms[:k]:
                 raise ValueError(f"algorithms: algorithm {algo!r} is repeated")
+        for key in ("repetitions", "base_seed"):
+            if not isinstance(getattr(self, key), Integral):
+                raise ValueError(f"{key}: must be an integer, got {getattr(self, key)!r}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions: must be >= 1, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
         if self.seeds is not None:
+            odd = next((s for s in self.seeds if not isinstance(s, Integral)), None)
+            if odd is not None:
+                raise ValueError(f"seeds: seed {odd!r} is not an integer")
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
             if len(self.seeds) != self.repetitions:
                 raise ValueError(
@@ -123,18 +131,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregates for one (algorithm, instance) cell."""
+    """Aggregates for one (algorithm, instance) cell; the average is exact."""
 
     algorithm: str
     instance: str
     best: int
-    average: float
+    average: Fraction
     worst: int
     t_avg_s: float
 
     def __post_init__(self) -> None:
-        # the average is rounded once to a float, and rounding is monotone
-        if not float(self.best) <= self.average <= float(self.worst):
+        if not self.best <= self.average <= self.worst:
             raise ValueError(f"aggregate ordering violated: {self.best}/{self.average}/{self.worst}")
         if not self.t_avg_s > 0:
             raise ValueError(f"average time must be positive, got {self.t_avg_s}")
@@ -202,11 +209,12 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             except ValueError:
                 raise ValueError(f"{key}: expected a number, got {value!r}") from None
         elif key in _RANGE_KEYS:
-            parts = value.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"{key}: expected two numbers 'low high', got {value!r}")
             name = _RANGE_KEYS[key]
-            ranges[name] = (float(parts[0]), float(parts[1]))
+            try:
+                low, high = (float(part) for part in value.replace(",", " ").split())
+            except ValueError:
+                raise ValueError(f"{key}: expected two numbers 'low high', got {value!r}") from None
+            ranges[name] = (low, high)
             try:
                 check_bounds(name, *ranges[name])
             except ValueError as exc:
@@ -282,7 +290,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     algorithm=algo,
                     instance=inst.name,
                     best=min(lengths),
-                    average=sum(lengths) / len(lengths),
+                    average=Fraction(sum(lengths), len(lengths)),
                     worst=max(lengths),
                     t_avg_s=sum(times) / len(times),
                 )
@@ -290,20 +298,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, summaries, records, traces, failures)
 
 
+def _two_decimals(value: Fraction) -> str:
+    """A value >= 0 to two decimals, rounded half to even as ``f"{x:.2f}"`` rounds a float."""
+    cents = round(Fraction(value) * 100)
+    return f"{cents // 100}.{cents % 100:02d}"
+
+
 def format_summary(summaries: list[ExperimentSummary]) -> str:
-    """Summary table: exact integer lengths, fixed two-decimal average and time."""
+    """Summary table: exact integer lengths, the exact average to two decimals, and time."""
     lines = [",".join(["algorithm", "instance", "best", "average", "worst", "t_avg_s"])]
     for s in summaries:
         lines.append(
             ",".join(
-                [s.algorithm, s.instance, str(s.best), f"{s.average:.2f}", str(s.worst), f"{s.t_avg_s:.2f}"]
+                [s.algorithm, s.instance, str(s.best), _two_decimals(s.average), str(s.worst), f"{s.t_avg_s:.2f}"]
             )
         )
     return "\n".join(lines) + "\n"
 
 
 def format_record(record: RunRecord) -> str:
-    """One run as replayable text: header key-values plus the best-length trace."""
+    """One run as replayable text: header key-values plus :func:`format_lengths`."""
     lines = [
         f"# algorithm: {record.algorithm}",
         f"# instance: {record.instance}",
@@ -317,9 +331,12 @@ def format_record(record: RunRecord) -> str:
             "# best_params: "
             + " ".join(f"{name}={value!r}" for name, value in zip(PARAM_NAMES, record.best_params))
         )
-    lines.append("iteration,best_length")
-    lines.extend(f"{i},{length}" for i, length in enumerate(record.best_lengths))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + format_lengths(record)
+
+
+def format_lengths(record: RunRecord) -> str:
+    """The global-best length after every iteration."""
+    return "iteration,best_length\n" + "".join(f"{i},{length}\n" for i, length in enumerate(record.best_lengths))
 
 
 def format_trace(trace: ParameterTrace) -> str:

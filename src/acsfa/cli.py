@@ -7,12 +7,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .acs import AcsParams, run_acs
-from .bench import ALGORITHMS, export, format_trace, load_config, run_experiment
-from .exact import HELD_KARP_MAX, held_karp
-from .hybrid import HybridConfig, run_acsfa
+from .acs import AcsParams
+from .bench import ALGORITHMS, ExperimentConfig, export, format_lengths, format_summary, format_trace
+from .bench import load_config, run_experiment
+from .exact import held_karp
+from .hybrid import HybridConfig
 from .stats import error_matrix, rcbd_anova, read_response_matrix, tukey_hsd
 from .tsplib import TsplibParseError, parse_instance
 
@@ -25,20 +24,16 @@ def _load_instance(path: str):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    rng = np.random.default_rng(args.seed)
-    if args.algo == "acs":
-        params = AcsParams(m=args.ants)
-        record = run_acs(inst, params, args.iterations, rng)
-        trace_text = "iteration,best_length\n" + "".join(
-            f"{i},{length}\n" for i, length in enumerate(record.best_lengths)
-        )
-    else:
-        config = HybridConfig(iterations=args.iterations, m=args.ants)
-        record, trace = run_acsfa(inst, config, rng)
-        trace_text = format_trace(trace)
+    config = ExperimentConfig(
+        instances=(args.instance,), algorithms=(args.algo,), repetitions=1, seeds=(args.seed,),
+        iterations=args.iterations, ants=args.ants,
+    )
+    result = run_experiment(config)
+    if result.failures:
+        raise ValueError(result.failures[0].error)
+    (record,) = result.records
     print(
-        f"algorithm={args.algo} instance={inst.name} seed={args.seed} "
+        f"algorithm={args.algo} instance={record.instance} seed={args.seed} "
         f"iterations={args.iterations} ants={args.ants} "
         f"best={record.best_tour.length} time_s={record.wall_time_s:.2f}"
     )
@@ -50,7 +45,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"gamma={v.gamma:.4f} delta={v.delta:.4f}"
         )
     if args.trace:
-        Path(args.trace).write_text(trace_text)
+        trace = result.traces.get((args.algo, record.instance, args.seed))
+        Path(args.trace).write_text(format_lengths(record) if trace is None else format_trace(trace))
         print(f"trace written to {args.trace}")
     return 0
 
@@ -61,11 +57,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     written = export(result)
     for failure in result.failures:
         print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
-    for s in result.summaries:
-        print(
-            f"{s.algorithm},{s.instance},best={s.best},average={s.average:.2f},"
-            f"worst={s.worst},t_avg_s={s.t_avg_s:.2f}"
-        )
+    print(format_summary(result.summaries), end="")
     print(f"wrote {len(written)} files under {config.output_dir}")
     return 0 if result.summaries else 1
 
@@ -131,7 +123,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    length = held_karp(inst, max_cities=args.max_cities)
+    length = held_karp(inst)
     print(f"instance={inst.name} optimal={length}")
     return 0
 
@@ -166,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact optimal length for a small instance")
     p_exact.add_argument("instance", help="path to a TSPLIB file")
-    p_exact.add_argument("--max-cities", type=int, default=HELD_KARP_MAX)
     p_exact.set_defaults(func=_cmd_exact)
     return parser
 

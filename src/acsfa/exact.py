@@ -1,8 +1,7 @@
 """Exact TSP solvers for small instances, used as ground truth in tests.
 
 Both solvers fix city 0 as the tour start, which is free for a cyclic
-objective. The caps keep desk-scale runtimes under a minute; held_karp's
-can be raised explicitly at the caller's own risk.
+objective. The caps keep desk-scale runtimes under a minute.
 """
 
 from __future__ import annotations
@@ -42,14 +41,14 @@ def brute_force(inst: TspInstance) -> Tour:
     return Tour(order=(0,) + best_perm, length=int(best_len))
 
 
-def held_karp(inst: TspInstance, max_cities: int = HELD_KARP_MAX) -> int:
+def held_karp(inst: TspInstance) -> int:
     """Exact optimal tour length via dynamic programming over city subsets.
 
-    Memory grows as n * 2**n; the default cap of 18 cities needs ~18 MB.
+    Memory grows as n * 2**n; the cap of 18 cities needs ~18 MB.
     """
     n = inst.dimension
-    if n > max_cities:
-        raise ValueError(f"held-karp is capped at {max_cities} cities, got {n}")
+    if n > HELD_KARP_MAX:
+        raise ValueError(f"held-karp is capped at {HELD_KARP_MAX} cities, got {n}")
     d = inst.dist
     m = n - 1
     full = 1 << m

@@ -31,10 +31,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .acs import AcsParams, RunRecord, colony, nearest_neighbor_tour
+from .acs import AcsParams, RunRecord, _record, colony
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
@@ -50,6 +51,8 @@ class HybridConfig:
     fa_alpha0: float = 2.3
 
     def __post_init__(self) -> None:
+        if not isinstance(self.iterations, Integral):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         AcsParams(m=self.m, alpha=self.alpha)  # their owner checks m and alpha
@@ -138,14 +141,5 @@ def run_acsfa(
         trace.append(best.length)
 
     best_params = pop[brightest] if config.iterations > 0 else None
-    if best is None:
-        best = nearest_neighbor_tour(inst, 0)
-    record = RunRecord(
-        algorithm="acsfa",
-        instance=inst.name,
-        best_tour=best,
-        best_lengths=tuple(trace),
-        wall_time_s=time.perf_counter() - t0,
-        best_params=best_params,
-    )
+    record = _record("acsfa", inst, best, trace, t0, best_params)
     return record, ParameterTrace(names=PARAM_NAMES, means=means, mins=mins, maxs=maxs)

@@ -82,6 +82,7 @@ class TestParams:
             {"alpha": 0.0},
             {"alpha": 1.0},
             {"m": 0},
+            {"m": 2.5},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -505,6 +506,11 @@ class TestColony:
 
 
 class TestRunAcs:
+    def test_non_integer_iterations_rejected(self, tiny3):
+        # a fraction would fail only inside the loop, with a TypeError
+        with pytest.raises(ValueError, match="iterations must be an integer, got 2.5"):
+            run_acs(tiny3, AcsParams(), 2.5, np.random.default_rng(0))
+
     def test_zero_iterations_returns_greedy_tour(self, eil51):
         record = run_acs(eil51, AcsParams(), 0, np.random.default_rng(0))
         assert record.best_tour.length == EIL51_NN_LENGTH

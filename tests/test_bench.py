@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,13 @@ output_dir = results
 
     @pytest.mark.parametrize(
         "line",
-        ["delta_range = 0.8 1.5", "rho_range = -0.5 0.2", "beta_range = -3 -1", "gamma_range = 4 2"],
+        [
+            "delta_range = 0.8 1.5",
+            "rho_range = -0.5 0.2",
+            "beta_range = -3 -1",
+            "gamma_range = 4 2",
+            "beta_range = a b",
+        ],
     )
     def test_range_error_names_the_key(self, mini_path, line):
         key = line.split()[0]
@@ -152,7 +159,17 @@ output_dir = results
 
     @pytest.mark.parametrize(
         "key, value",
-        [("iterations", -1), ("ants", 0), ("acs_rho", 1), ("acs_q0", 1.5), ("alpha", 0)],
+        [
+            ("iterations", -1),
+            ("ants", 0),
+            ("acs_rho", 1),
+            ("acs_q0", 1.5),
+            ("alpha", 0),
+            ("iterations", 2.5),
+            ("ants", 2.5),
+            ("repetitions", 2.5),
+            ("base_seed", 1.5),
+        ],
     )
     def test_out_of_range_setting_names_the_key(self, mini_path, key, value):
         with pytest.raises(ValueError, match=f"^{key}: "):
@@ -175,6 +192,20 @@ output_dir = results
             parse_config(f"instances = {mini_path}\nalgorithms = {line}\n")
         with pytest.raises(ValueError, match=f"^algorithms: {message}"):
             ExperimentConfig(instances=(str(mini_path),), algorithms=algorithms)
+
+    def test_numpy_integers_accepted(self, mini_path, tmp_path):
+        config = ExperimentConfig(
+            instances=(str(mini_path),),
+            algorithms=("acs", "acsfa"),
+            repetitions=np.int32(2),
+            iterations=np.int64(2),
+            ants=np.int64(2),
+            seeds=(np.int64(5), np.uint8(6)),
+            output_dir=str(tmp_path / "o"),
+        )
+        assert config.seeds == (5, 6)
+        assert [r.seed for r in run_experiment(config).records] == [5, 6, 5, 6]
+        assert ExperimentConfig(instances=(str(mini_path),), base_seed=np.int64(3)).seed_for(1) == 4
 
     def test_unknown_key_rejected(self, mini_path):
         with pytest.raises(ValueError, match="frobnicate"):
@@ -219,6 +250,9 @@ output_dir = results
     def test_non_integer_seed_names_the_key(self, mini_path):
         with pytest.raises(ValueError, match="^seeds: "):
             parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 1 x\n")
+        # int() would truncate these to the seeds 0 and 1
+        with pytest.raises(ValueError, match="^seeds: seed 0.5 is not an integer"):
+            ExperimentConfig(instances=(str(mini_path),), repetitions=2, seeds=(0.5, 1.7))
 
     def test_seed_for(self, mini_path):
         config = parse_config(f"instances = {mini_path}\nbase_seed = 100\n")
@@ -260,8 +294,10 @@ class TestRunExperiment:
             instances=(str(path),), repetitions=2, iterations=2, ants=2, output_dir=str(tmp_path / "o")
         )
         result = run_experiment(config)
-        assert [(s.best, s.worst) for s in result.summaries] == [(2**60 + 1, 2**60 + 1)] * 2
-        assert all(s.average == 2.0**60 for s in result.summaries)
+        assert [(s.best, s.average, s.worst) for s in result.summaries] == [(2**60 + 1,) * 3] * 2
+        rows = [line.split(",") for line in format_summary(result.summaries).splitlines()[1:]]
+        length = str(2**60 + 1)
+        assert [row[2:5] for row in rows] == [[length, length + ".00", length]] * 2
 
     def test_single_repetition_collapses(self, mini_path, tmp_path):
         config = ExperimentConfig(
@@ -381,6 +417,23 @@ class TestExport:
                 cells = line.split(",")
                 means = np.array([float(c) for c in cells[1:6]])
                 assert (means >= bounds.lows).all() and (means <= bounds.highs).all()
+
+    @pytest.mark.parametrize(
+        "average",
+        [0.0, 0.125, 0.375, 2.675, 1.005, 4 / 3, 6859.5, 6859.995, 2.0**51 + 0.5, 2.0**60, 1e20],
+    )
+    def test_exact_average_prints_as_its_float(self, average):
+        # wherever a double holds the mean, the text is that of f"{average:.2f}"
+        summary = ExperimentSummary("acs", "x", best=0, average=average, worst=10**21, t_avg_s=1.0)
+        assert format_summary([summary]).splitlines()[1].split(",")[3] == f"{average:.2f}"
+
+    def test_exact_average_between_doubles(self):
+        # (3 * 2**60 + 2) / 3 lies between two doubles and rounds to neither
+        lengths = [2**60, 2**60 + 1, 2**60 + 1]
+        summary = ExperimentSummary(
+            "acs", "x", best=2**60, average=Fraction(sum(lengths), 3), worst=2**60 + 1, t_avg_s=1.0
+        )
+        assert format_summary([summary]).splitlines()[1].split(",")[3] == "1152921504606846976.67"
 
     def test_record_replayable_header(self, mini_config):
         result = run_experiment(mini_config)

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
+from acsfa.acs import AcsParams, run_acs
+from acsfa.bench import format_lengths, format_trace
 from acsfa.cli import main
+from acsfa.hybrid import HybridConfig, run_acsfa
+from acsfa.tsplib import parse_instance
 
 MINI_INSTANCE = """\
 NAME : mini5
@@ -51,6 +56,41 @@ class TestSolve:
         assert lines[0].startswith("iteration,beta_mean")
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("algo", ["acs", "acsfa"])
+    def test_prints_what_a_direct_solver_call_gives(self, tmp_path, capsys, algo):
+        import conftest
+
+        path = conftest.DATA / "ulysses16.tsp"
+        trace = tmp_path / "trace.csv"
+        argv = ["solve", str(path), "--algo", algo, "--iterations", "20", "--ants", "4", "--seed", "5"]
+        assert main(argv + ["--trace", str(trace)]) == 0
+        inst = parse_instance(path.read_text())
+        rng = np.random.default_rng(5)
+        if algo == "acs":
+            record = run_acs(inst, AcsParams(m=4), 20, rng)
+            trace_text = format_lengths(record)
+        else:
+            record, params = run_acsfa(inst, HybridConfig(iterations=20, m=4), rng)
+            trace_text = format_trace(params)
+        expected = [
+            f"algorithm={algo} instance=ulysses16 seed=5 iterations=20 ants=4 best={record.best_tour.length}",
+            "tour: " + " ".join(str(c) for c in record.best_tour.order),
+        ]
+        if record.best_params is not None:
+            v = record.best_params
+            expected.append(
+                f"params: beta={v.beta:.4f} rho={v.rho:.4f} q0={v.q0:.4f} gamma={v.gamma:.4f} delta={v.delta:.4f}"
+            )
+        expected.append(f"trace written to {trace}")
+        assert strip_times(capsys.readouterr().out) == expected
+        assert trace.read_text() == trace_text
+
+    def test_bad_setting_names_the_key(self, mini_path, capsys):
+        assert main(["solve", str(mini_path), "--ants", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ants: " in captured.err
+
     def test_deterministic_given_seed(self, mini_path, capsys):
         main(["solve", str(mini_path), "--algo", "acs", "--iterations", "6", "--seed", "11"])
         first = capsys.readouterr().out
@@ -60,7 +100,8 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "nope.tsp"]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "nope.tsp" in err
 
 
 def strip_times(text):
@@ -82,6 +123,18 @@ class TestExact:
 
         assert main(["exact", str(conftest.DATA / "eil51.tsp")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cap_is_not_an_option(self, capsys):
+        # a cap of 40 would ask held_karp for a 40 * 2**39-cell table, which
+        # numpy cannot allocate
+        import conftest
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["exact", str(conftest.DATA / "eil51.tsp"), "--max-cities", "40"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --max-cities 40" in err
+        assert "Traceback" not in err
 
 
 class TestStats:
@@ -160,7 +213,7 @@ class TestBench:
         assert main(["bench", str(config)]) == 0
         out = capsys.readouterr().out
         assert "acs,mini5" in out
-        assert (tmp_path / "out" / "summary.csv").is_file()
+        assert (tmp_path / "out" / "summary.csv").read_text() in out
         runs = list((tmp_path / "out" / "runs").iterdir())
         assert len(runs) == 4
 

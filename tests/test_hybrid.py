@@ -132,7 +132,15 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"iterations": -1}, {"m": 0}, {"alpha": 0.0}, {"alpha": 1.0}, {"fa_alpha0": 0.0}],
+        [
+            {"iterations": -1},
+            {"m": 0},
+            {"alpha": 0.0},
+            {"alpha": 1.0},
+            {"fa_alpha0": 0.0},
+            {"iterations": 2.5},
+            {"m": 2.5},
+        ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
