@@ -24,6 +24,11 @@ if TYPE_CHECKING:
     from .firefly import ParamVector
 
 
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for ``bool``, which would count as 0 or 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AcsParams:
     """Settings of the fixed-parameter baseline solver.
@@ -47,7 +52,7 @@ class AcsParams:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.m, Integral):
+        if not is_integer(self.m):
             raise ValueError(f"ant count m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"ant count m must be >= 1, got {self.m}")
@@ -386,7 +391,7 @@ def run_acs(
     With ``iterations=0`` the greedy tour used for tau0 is returned, so the
     contract stays total.
     """
-    if not isinstance(iterations, Integral):
+    if not is_integer(iterations):
         raise ValueError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")

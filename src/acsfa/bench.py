@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .acs import AcsParams, RunRecord, run_acs
+from .acs import AcsParams, RunRecord, is_integer, run_acs
 from .firefly import PARAM_NAMES, ParamBounds, check_bounds
 from .hybrid import HybridConfig, ParameterTrace, run_acsfa
 from .stats import ResponseMatrix, write_response_matrix
@@ -79,6 +78,10 @@ class ExperimentConfig:
     hybrid: HybridConfig = field(init=False)
 
     def __post_init__(self) -> None:
+        for key in ("instances", "algorithms"):
+            value = getattr(self, key)
+            if isinstance(value, str):  # tuple() would split it into characters
+                raise ValueError(f"{key}: expected a sequence of strings, got the string {value!r}")
         if not self.instances:
             raise ValueError("instances: at least one instance file is required")
         object.__setattr__(self, "instances", tuple(self.instances))
@@ -91,14 +94,14 @@ class ExperimentConfig:
             if algo in self.algorithms[:k]:
                 raise ValueError(f"algorithms: algorithm {algo!r} is repeated")
         for key in ("repetitions", "base_seed"):
-            if not isinstance(getattr(self, key), Integral):
+            if not is_integer(getattr(self, key)):
                 raise ValueError(f"{key}: must be an integer, got {getattr(self, key)!r}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions: must be >= 1, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
         if self.seeds is not None:
-            odd = next((s for s in self.seeds if not isinstance(s, Integral)), None)
+            odd = next((s for s in self.seeds if not is_integer(s)), None)
             if odd is not None:
                 raise ValueError(f"seeds: seed {odd!r} is not an integer")
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))

@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .acs import AcsParams, RunRecord, _record, colony
+from .acs import AcsParams, RunRecord, _record, colony, is_integer
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
@@ -51,7 +50,7 @@ class HybridConfig:
     fa_alpha0: float = 2.3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.iterations, Integral):
+        if not is_integer(self.iterations):
             raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")

@@ -95,6 +95,12 @@ class TestParams:
             AcsParams(beta=beta)
 
 
+    def test_bool_ant_count_rejected(self):
+        # bool is an Integral: m=True would run one ant
+        with pytest.raises(ValueError, match="ant count m must be an integer, got True"):
+            AcsParams(m=True)
+
+
 class TestNearestNeighbor:
     def test_triangle(self, tiny3):
         for start in range(3):
@@ -510,6 +516,10 @@ class TestRunAcs:
         # a fraction would fail only inside the loop, with a TypeError
         with pytest.raises(ValueError, match="iterations must be an integer, got 2.5"):
             run_acs(tiny3, AcsParams(), 2.5, np.random.default_rng(0))
+
+    def test_bool_iterations_rejected(self, tiny3):
+        with pytest.raises(ValueError, match="iterations must be an integer, got True"):
+            run_acs(tiny3, AcsParams(), True, np.random.default_rng(0))
 
     def test_zero_iterations_returns_greedy_tour(self, eil51):
         record = run_acs(eil51, AcsParams(), 0, np.random.default_rng(0))

@@ -254,6 +254,28 @@ output_dir = results
         with pytest.raises(ValueError, match="^seeds: seed 0.5 is not an integer"):
             ExperimentConfig(instances=(str(mini_path),), repetitions=2, seeds=(0.5, 1.7))
 
+    @pytest.mark.parametrize(
+        "key, kwargs, message",
+        [
+            ("repetitions", {"repetitions": True}, "must be an integer, got True"),
+            ("base_seed", {"base_seed": False}, "must be an integer, got False"),
+            ("seeds", {"repetitions": 2, "seeds": (True, 2)}, "seed True is not an integer"),
+        ],
+        ids=["repetitions", "base_seed", "seeds"],
+    )
+    def test_bool_count_or_seed_rejected(self, mini_path, key, kwargs, message):
+        # bool is an Integral, and repetitions=True would be kept as True
+        with pytest.raises(ValueError, match=f"^{key}: {message}"):
+            ExperimentConfig(instances=(str(mini_path),), **kwargs)
+
+    @pytest.mark.parametrize("key", ["instances", "algorithms"])
+    def test_string_for_a_sequence_rejected(self, mini_path, key):
+        # tuple() would split the string into characters, one failed cell each
+        kwargs = {"instances": (str(mini_path),), "algorithms": ("acs",)}
+        kwargs[key] = kwargs[key][0]
+        with pytest.raises(ValueError, match=f"^{key}: expected a sequence of strings, got the string "):
+            ExperimentConfig(**kwargs)
+
     def test_seed_for(self, mini_path):
         config = parse_config(f"instances = {mini_path}\nbase_seed = 100\n")
         assert [config.seed_for(i) for i in range(3)] == [100, 101, 102]

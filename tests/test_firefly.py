@@ -233,23 +233,28 @@ def reference_move(xi, xj, alpha, gamma, bounds, rng) -> np.ndarray:
 _DOMAIN_SPANS = ((0.0, 50.0), (1e-9, 1.0), (0.0, 1.0), (0.0, 50.0), (0.0, 1.0))
 
 
-@st.composite
-def boxes_and_points(draw):
-    """Bounds, then two positions in them given as fractions of each width (xj may equal xi)."""
+def draw_box(draw) -> ParamBounds:
     sides = []
     for lo, hi in _DOMAIN_SPANS:
         # -0.0 passes a ">= 0" domain check; a clamp onto it must keep its sign
         edges = st.sampled_from([lo, hi, -0.0] if lo == 0.0 else [lo, hi])
         a, b = draw(st.lists(st.one_of(st.floats(lo, hi), edges), min_size=2, max_size=2, unique=True))
         sides.append((min(a, b), max(a, b)))
-    bounds = ParamBounds(**dict(zip(PARAM_NAMES, sides)))
+    return ParamBounds(**dict(zip(PARAM_NAMES, sides)))
+
+
+def draw_point(draw, bounds: ParamBounds) -> ParamVector:
+    """A position given as fractions of each width; fraction 0 on a gamma side from 0 gives gamma 0."""
     fractions = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=5, max_size=5)
+    return ParamVector.from_array(bounds.lows + np.array(draw(fractions)) * bounds.widths)
 
-    def point():
-        return ParamVector.from_array(bounds.lows + np.array(draw(fractions)) * bounds.widths)
 
-    xi = point()
-    xj = xi if draw(st.booleans()) else point()
+@st.composite
+def boxes_and_points(draw):
+    """Bounds, then two positions in them (xj may equal xi)."""
+    bounds = draw_box(draw)
+    xi = draw_point(draw, bounds)
+    xj = xi if draw(st.booleans()) else draw_point(draw, bounds)
     return bounds, xi, xj
 
 
@@ -277,6 +282,55 @@ def test_move_matches_the_array_reference(case, gamma, alpha, seed):
     expected = reference_move(xi, xj, alpha, gamma, bounds, ref_rng)
     got = move(xi, xj, alpha, gamma, bounds, rng)
     assert np.array(got).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_sweep(vecs, light, alpha, bounds, rng) -> list[ParamVector]:
+    """The nested loop of ``sweep`` over the array-form move: ascending i,
+    ascending j, i moves toward every strictly brighter j with j's gamma."""
+    vecs = list(vecs)
+    for i in range(len(vecs)):
+        for j in range(len(vecs)):
+            if light[j] > light[i]:
+                vecs[i] = ParamVector.from_array(reference_move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng))
+    return vecs
+
+
+@st.composite
+def populations(draw):
+    """Bounds, 1-12 positions in them (repeats allowed) and a brightness each, with ties and zeros."""
+    bounds = draw_box(draw)
+    m = draw(st.integers(1, 12))
+    vecs = [draw_point(draw, bounds) for _ in range(m)]
+    vecs = [draw(st.sampled_from(vecs[:k])) if k and draw(st.booleans()) else v for k, v in enumerate(vecs)]
+    brightness = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.0))
+    light = draw(st.lists(brightness, min_size=m, max_size=m))
+    return bounds, vecs, light
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=populations(),
+    alpha=st.one_of(st.just(0.0), st.floats(1e-12, 10.0), st.floats(10.0, 1e6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the -0.0 side again, now reached through a brighter firefly whose own gamma is 0
+@example(
+    case=(ParamBounds(beta=(-0.0, 8.0)), [ParamVector(0.0, 0.6, 0.6, 0.0, 0.9)] * 2, [0.0, 1.0]),
+    alpha=5e-324, seed=0,
+)
+# gamma 0 on the default box: every dimmer firefly lands on a brighter one, then is kicked
+@example(
+    case=(BOUNDS, [ParamVector(1.0, 0.6, 0.6, 0.0, 0.9), ParamVector(7.0, 0.9, 0.9, 0.0, 0.82), LOW],
+          [0.5, 1.0, 0.0]),
+    alpha=0.0, seed=1,
+)
+def test_sweep_matches_the_reference_loop(case, alpha, seed):
+    bounds, vecs, light = case
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_sweep(vecs, light, alpha, bounds, ref_rng)
+    got = sweep(vecs, light, alpha, bounds, rng)
+    assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in expected]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -152,6 +152,12 @@ class TestConfig:
             HybridConfig(fa_alpha0=fa_alpha0)
 
 
+    def test_bool_iterations_rejected(self):
+        # bool is an Integral: iterations=True would run one iteration
+        with pytest.raises(ValueError, match="iterations must be an integer, got True"):
+            HybridConfig(iterations=True)
+
+
 class TestRunAcsfa:
     def test_zero_iterations(self, tiny3):
         record, trace = run_acsfa(tiny3, HybridConfig(iterations=0), np.random.default_rng(0))
