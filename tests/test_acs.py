@@ -83,6 +83,7 @@ class TestParams:
             {"alpha": 1.0},
             {"m": 0},
             {"m": 2.5},
+            {"m": True},  # bool is an Integral, and True would run one ant
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -93,12 +94,6 @@ class TestParams:
     def test_non_finite_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="beta"):
             AcsParams(beta=beta)
-
-
-    def test_bool_ant_count_rejected(self):
-        # bool is an Integral: m=True would run one ant
-        with pytest.raises(ValueError, match="ant count m must be an integer, got True"):
-            AcsParams(m=True)
 
 
 class TestNearestNeighbor:
@@ -516,8 +511,6 @@ class TestRunAcs:
         # a fraction would fail only inside the loop, with a TypeError
         with pytest.raises(ValueError, match="iterations must be an integer, got 2.5"):
             run_acs(tiny3, AcsParams(), 2.5, np.random.default_rng(0))
-
-    def test_bool_iterations_rejected(self, tiny3):
         with pytest.raises(ValueError, match="iterations must be an integer, got True"):
             run_acs(tiny3, AcsParams(), True, np.random.default_rng(0))
 
