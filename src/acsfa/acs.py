@@ -274,7 +274,7 @@ def construct_tour(
     r, s = closed[:-1], closed[1:]
     local_update(tau, r, s, rho, tau0)
     # the order is a permutation by construction, so skip tour_length's check
-    return Tour(order=tuple(order), length=int(inst.dist.take(r * n + s).sum()))
+    return Tour(order=tuple(order), length=int(inst.dist[r, s].sum()))
 
 
 # Work is counted in entries: a rebuild writes n * n, a refresh the 2n

@@ -11,6 +11,7 @@ narrow dimensions and would pin them to the box edges with every kick.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -121,13 +122,14 @@ def move(
     alpha: float,
     gamma: float,
     bounds: ParamBounds,
-    rng: np.random.Generator,
+    kick: Sequence[float],
 ) -> ParamVector:
     """Move ``xi`` toward ``xj`` with one uniform random kick per dimension.
 
-    ``alpha`` is the kick size in range widths: the kick in each dimension
-    is ``alpha * (u - 1/2)`` times that dimension's width, u uniform in
-    [0, 1), from one ``rng.random(5)`` draw.
+    ``kick`` is five uniforms in [0, 1), one per dimension in
+    ``PARAM_NAMES`` order (:func:`sweep` passes five values of its one
+    block). ``alpha`` is the kick size in range widths: the kick in each
+    dimension is ``alpha * (u - 1/2)`` times that dimension's width.
     The result is clamped to the bounds, so the step is total. Full
     attraction (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather
     than within rounding error.
@@ -159,7 +161,7 @@ def move(
         t2 = a2 + b * (t2 - a2)
         t3 = a3 + b * (t3 - a3)
         t4 = a4 + b * (t4 - a4)
-    u0, u1, u2, u3, u4 = rng.random(5).tolist()
+    u0, u1, u2, u3, u4 = kick
     x0 = t0 + alpha * (u0 - 0.5) * w0
     x1 = t1 + alpha * (u1 - 0.5) * w1
     x2 = t2 + alpha * (u2 - 0.5) * w2
@@ -198,15 +200,24 @@ def sweep(
     Sweep order is ascending i, ascending j; ``i`` moves toward every
     strictly brighter ``j`` using j's own gamma, and updated positions take
     effect immediately within the sweep. The brightest firefly never moves.
+
+    Brightness does not change during a sweep, so the moving pairs are known
+    up front, and their kicks come from one ``rng.random(5 * pairs)`` draw:
+    the doubles of that many scalar calls, handed out five per move in sweep
+    order, so the generator ends where one draw per move would leave it.
+    Every input is checked before that draw, a negative gamma included.
     """
     if not vecs or len(vecs) != len(light):
         raise ValueError("population must be non-empty with one brightness per vector")
     if not all(math.isfinite(b) for b in light):
         raise ValueError("brightness values must be finite")
+    for v in vecs:
+        if v.gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {v.gamma}")
     vecs = list(vecs)
-    for i in range(len(vecs)):
-        for j in range(len(vecs)):
-            if light[j] > light[i]:
-                vecs[i] = move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng)
+    pairs = [(i, j) for i, li in enumerate(light) for j, lj in enumerate(light) if lj > li]
+    kicks = rng.random(5 * len(pairs)).tolist()
+    for k, (i, j) in enumerate(pairs):
+        vecs[i] = move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, kicks[5 * k : 5 * k + 5])
     return vecs
 

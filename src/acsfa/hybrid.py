@@ -75,6 +75,13 @@ class ParameterTrace:
     def __len__(self) -> int:
         return self.means.shape[0]
 
+    @classmethod
+    def of(cls, positions: np.ndarray) -> "ParameterTrace":
+        """The trace of ``positions``, shaped (iterations, m, dims): each row
+        reduces one iteration's population, as ``mean``/``min``/``max`` over
+        axis 0 of that iteration's (m, dims) array would."""
+        return cls(PARAM_NAMES, positions.mean(axis=1), positions.min(axis=1), positions.max(axis=1))
+
 
 def local_decay(rho: float, m: int) -> float:
     """Per-crossing decay that leaves the fraction rho after m crossings."""
@@ -118,10 +125,7 @@ def run_acsfa(
         for v in pop:
             yield v.beta, v.q0, local_decay(v.rho, m)
 
-    dims = len(PARAM_NAMES)
-    means = np.empty((config.iterations, dims))
-    mins = np.empty((config.iterations, dims))
-    maxs = np.empty((config.iterations, dims))
+    positions = np.empty((config.iterations, m, len(PARAM_NAMES)))  # reduced once, after the run
     best: Tour | None = None
     trace: list[int] = []
     light = [0.0] * m
@@ -131,14 +135,11 @@ def run_acsfa(
         for k, length in records:
             light[k] = 1.0 / max(length, 1)  # zero-length tours only on degenerate data
         pop = sweep(pop, light, alpha, config.bounds, rng)
-        brightest = int(np.argmax(light))  # the brightest firefly never moved
+        brightest = light.index(max(light))  # the brightest firefly never moved
         alpha = reduce_alpha(alpha, pop[brightest].delta)
-        positions = np.array(pop)
-        means[it] = positions.mean(axis=0)
-        mins[it] = positions.min(axis=0)
-        maxs[it] = positions.max(axis=0)
+        positions[it] = pop
         trace.append(best.length)
 
     best_params = pop[brightest] if config.iterations > 0 else None
     record = _record("acsfa", inst, best, trace, t0, best_params)
-    return record, ParameterTrace(names=PARAM_NAMES, means=means, mins=mins, maxs=maxs)
+    return record, ParameterTrace.of(positions)

@@ -191,7 +191,7 @@ class TestCriterion7Invariants:
         for _ in range(10_000):
             xi = ParamVector.from_array(bounds.lows + rng.random(5) * bounds.widths)
             xj = ParamVector.from_array(bounds.lows + rng.random(5) * bounds.widths)
-            moved = move(xi, xj, alpha, float(rng.random() * 10), bounds, rng)
+            moved = move(xi, xj, alpha, float(rng.random() * 10), bounds, rng.random(5))
             assert bounds.contains(moved)
 
     def test_criterion_7e_alpha_decay_recurrence(self):

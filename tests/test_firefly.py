@@ -101,36 +101,36 @@ class TestAttractiveness:
 class TestMove:
     def test_no_motion_when_colocated_and_alpha_zero(self):
         v = ParamVector(4.0, 0.7, 0.9, 3.0, 0.85)
-        assert move(v, v, 0.0, 2.0, BOUNDS, np.random.default_rng(0)) == v
+        assert move(v, v, 0.0, 2.0, BOUNDS, np.random.default_rng(0).random(5)) == v
 
     def test_full_attraction_lands_exactly(self):
-        got = move(LOW, HIGH, 0.0, 0.0, BOUNDS, np.random.default_rng(0))
+        got = move(LOW, HIGH, 0.0, 0.0, BOUNDS, np.random.default_rng(0).random(5))
         assert got == HIGH
 
     def test_half_attraction_reaches_midpoints(self):
         # gamma chosen so attractiveness at the corner distance is exactly 1/2
         gamma = math.log(2.0) / 5.0
-        got = move(LOW, HIGH, 0.0, gamma, BOUNDS, np.random.default_rng(0))
+        got = move(LOW, HIGH, 0.0, gamma, BOUNDS, np.random.default_rng(0).random(5))
         expected = (4.0, 0.75, 0.75, 5.0, 0.9)
         assert got.as_array() == pytest.approx(np.array(expected), abs=1e-12)
 
     def test_clamped_to_bounds(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            got = move(LOW, HIGH, 50.0, 0.0, BOUNDS, rng)
+            got = move(LOW, HIGH, 50.0, 0.0, BOUNDS, rng.random(5))
             assert BOUNDS.contains(got)
 
     def test_kick_is_alpha_times_the_width(self):
         # colocated vectors with gamma 0: full attraction, then only the kick
         mid = ParamVector.from_array((BOUNDS.lows + BOUNDS.highs) / 2.0)
-        got = move(mid, mid, 0.3, 0.0, BOUNDS, np.random.default_rng(9))
+        got = move(mid, mid, 0.3, 0.0, BOUNDS, np.random.default_rng(9).random(5))
         u = np.random.default_rng(9).random(5)
         kick = (got.as_array() - mid.as_array()) / BOUNDS.widths
         assert kick == pytest.approx(0.3 * (u - 0.5), abs=1e-12)
 
     def test_deterministic_given_seed(self):
-        a = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42))
-        b = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42))
+        a = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42).random(5))
+        b = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42).random(5))
         assert a == b
 
 
@@ -194,6 +194,17 @@ class TestFireflyStep:
         with pytest.raises(ValueError, match="finite"):
             sweep([LOW, HIGH], [0.5, float("nan")], 2.3, BOUNDS, np.random.default_rng(0))
 
+    def test_negative_gamma_rejected_before_any_draw(self):
+        # the last firefly is the brightest, so the others' moves come first
+        pop = [LOW, HIGH, ParamVector(4.0, 0.7, 0.9, -1.0, 0.85)]
+        given_pop = list(pop)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="gamma"):
+            sweep(pop, [0.1, 0.2, 0.9], 2.3, BOUNDS, rng)
+        assert rng.bit_generator.state == state
+        assert pop == given_pop
+
 
 class TestParamVector:
     def test_array_round_trip(self):
@@ -217,7 +228,7 @@ def reference_distance(xi, xj, bounds) -> float:
     return float(math.sqrt(float((diff * diff).sum())))
 
 
-def reference_move(xi, xj, alpha, gamma, bounds, rng) -> np.ndarray:
+def reference_move(xi, xj, alpha, gamma, bounds, kick) -> np.ndarray:
     """The elementwise array form of the firefly move that the float form replaced."""
     lows, highs = bounds.lows, bounds.highs
     widths = highs - lows
@@ -225,7 +236,7 @@ def reference_move(xi, xj, alpha, gamma, bounds, rng) -> np.ndarray:
     r = reference_distance(xi, xj, bounds)
     b = math.exp(-gamma * r * r)
     attracted = t if b == 1.0 else a + b * (t - a)
-    x = attracted + alpha * (rng.random(5) - 0.5) * widths
+    x = attracted + alpha * (kick - 0.5) * widths
     return np.clip(x, lows, highs)
 
 
@@ -279,20 +290,21 @@ def test_move_matches_the_array_reference(case, gamma, alpha, seed):
     bounds, xi, xj = case
     assert param_distance(xi, xj, bounds) == reference_distance(xi, xj, bounds)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = reference_move(xi, xj, alpha, gamma, bounds, ref_rng)
-    got = move(xi, xj, alpha, gamma, bounds, rng)
+    expected = reference_move(xi, xj, alpha, gamma, bounds, ref_rng.random(5))
+    got = move(xi, xj, alpha, gamma, bounds, rng.random(5))
     assert np.array(got).tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def reference_sweep(vecs, light, alpha, bounds, rng) -> list[ParamVector]:
     """The nested loop of ``sweep`` over the array-form move: ascending i,
-    ascending j, i moves toward every strictly brighter j with j's gamma."""
+    ascending j, i moves toward every strictly brighter j with j's gamma,
+    drawing each move's kick as it comes."""
     vecs = list(vecs)
     for i in range(len(vecs)):
         for j in range(len(vecs)):
             if light[j] > light[i]:
-                vecs[i] = ParamVector.from_array(reference_move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng))
+                vecs[i] = ParamVector.from_array(reference_move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng.random(5)))
     return vecs
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import acsfa.acs
 import acsfa.hybrid
 from acsfa.acs import local_update
 from acsfa.firefly import PARAM_NAMES, ParamBounds
-from acsfa.hybrid import HybridConfig, init_population, local_decay, run_acsfa
+from acsfa.hybrid import HybridConfig, ParameterTrace, init_population, local_decay, run_acsfa
 from acsfa.tsplib import TspInstance, tour_length
 from conftest import random_euclidean
 
@@ -190,6 +191,20 @@ class TestRunAcsfa:
         assert np.all(trace.means == trace.means[0])
         assert np.all(trace.mins == trace.maxs)
         assert np.array_equal(record.best_params.as_array(), trace.means[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        positions=st.tuples(st.integers(0, 40), st.integers(1, 32)).flatmap(
+            lambda shape: arrays(np.float64, shape + (len(PARAM_NAMES),), elements=st.floats(-1e6, 1e6))
+        )
+    )
+    def test_trace_reduced_once_matches_each_iteration(self, positions):
+        trace = ParameterTrace.of(positions)
+        assert trace.names == PARAM_NAMES and len(trace) == len(positions)
+        for it, pop in enumerate(positions):  # pop has the (m, 5) layout of one iteration's np.array(pop)
+            assert trace.means[it].tobytes() == pop.mean(axis=0).tobytes()
+            assert trace.mins[it].tobytes() == pop.min(axis=0).tobytes()
+            assert trace.maxs[it].tobytes() == pop.max(axis=0).tobytes()
 
     def test_fixed_seed_bit_reproducible(self, ulysses16):
         config = HybridConfig(iterations=30, m=5)
