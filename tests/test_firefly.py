@@ -304,7 +304,8 @@ def reference_sweep(vecs, light, alpha, bounds, rng) -> list[ParamVector]:
     for i in range(len(vecs)):
         for j in range(len(vecs)):
             if light[j] > light[i]:
-                vecs[i] = ParamVector.from_array(reference_move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng.random(5)))
+                moved = reference_move(vecs[i], vecs[j], alpha, vecs[j].gamma, bounds, rng.random(5))
+                vecs[i] = ParamVector.from_array(moved)
     return vecs
 
 
