@@ -124,10 +124,12 @@ def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
     """The heuristic's value per distance level and each pair's level.
 
     ``table[index]`` equals :func:`heuristic_matrix`. When the largest
-    distance is below n * n the levels are 0..max and the index is
-    ``inst.dist`` itself; otherwise they are the distinct distances.
+    distance is below n * n the levels are 0..max and the index is the
+    instance's own distance matrix, the writeable array behind the
+    read-only ``inst.dist``, so ``take`` reads it without a copy; otherwise
+    the levels are the distinct distances. The index is never written.
     """
-    d = inst.dist
+    d = inst._owner  # type: ignore[attr-defined]
     dmax = int(d.max())
     if dmax + 1 <= d.size:
         return _inverse_distance(np.arange(dmax + 1)), d
@@ -153,7 +155,7 @@ def _choose(w: np.ndarray, avail: np.ndarray, q0: float, draw: Callable[[], floa
     c = w.cumsum()
     total = c.item(-1)
     if 0.0 < total < math.inf:
-        s = int(c.searchsorted(draw() * total, side="right"))
+        s = int(c.searchsorted(draw() * total, "right"))
         # a draw rounded up to the total: the last unvisited city
         return s if s < c.size else int(np.flatnonzero(avail)[-1])
     # weights can underflow to all-zero after very long decay: fall back to uniform
@@ -258,7 +260,8 @@ def construct_tour(
     if not 0 <= start < n:
         raise IndexError(f"start city {start} out of range for n={n}")
 
-    avail = np.ones(n)
+    avail = np.empty(n)
+    avail.fill(1.0)
     avail[start] = 0.0
     order = [start]
     # rng.random(k) gives the doubles of k scalar calls
@@ -280,8 +283,10 @@ def construct_tour(
 # Work is counted in entries: a rebuild writes n * n, a refresh the 2n
 # entries of each stale tour, at about this many rebuild entries apiece
 # (flat take, level lookup, multiply and put, fixed call costs spread in).
-# On a 2-core Xeon the two cost the same near n = 80 for one stale tour.
-_REFRESH_COST = 32
+# On a 2-core Xeon the two cost the same near n = 104 for one stale tour
+# (C = 52) and n = 128 for two (C = 32); a fixed-beta colony syncs one
+# tour per ant and two once per iteration, so C sits between them.
+_REFRESH_COST = 40
 
 
 class _WeightProduct:
@@ -321,12 +326,13 @@ class _WeightProduct:
         return self.matrix
 
     def _rebuild(self) -> None:
-        # take() with out= copies a read-only index (inst.dist is one) and,
-        # in mode "raise", buffers its whole output: gather block by block
-        w, index = self.matrix, self.index
+        # take() with out= copies a read-only index (hence the writeable
+        # one from _heuristic_levels) and, in mode "raise", buffers its whole
+        # output: gather block by block
+        w, index, take = self.matrix, self.index, self.powers.take
         for lo in range(0, len(w), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            np.take(self.powers, index[lo:hi], out=w[lo:hi], mode="wrap")
+            take(index[lo:hi], out=w[lo:hi], mode="wrap")
         w *= self.tau
 
     def _refresh(self) -> None:

@@ -205,13 +205,16 @@ def sweep(
     up front, and their kicks come from one ``rng.random(5 * pairs)`` draw:
     the doubles of that many scalar calls, handed out five per move in sweep
     order, so the generator ends where one draw per move would leave it.
-    Every input is checked before that draw, a negative gamma included.
+    Every input is checked before that draw, a non-finite position and a
+    negative gamma included.
     """
     if not vecs or len(vecs) != len(light):
         raise ValueError("population must be non-empty with one brightness per vector")
     if not all(math.isfinite(b) for b in light):
         raise ValueError("brightness values must be finite")
     for v in vecs:
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"positions must be finite, got {v}")
         if v.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {v.gamma}")
     vecs = list(vecs)

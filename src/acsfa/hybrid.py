@@ -38,6 +38,10 @@ from .acs import AcsParams, RunRecord, _record, colony, is_integer
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
+# Iterations per block of populations reduced into the trace at once: the
+# buffer holds 40 * m bytes per iteration, bounded by the block, not the run.
+_TRACE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -76,11 +80,26 @@ class ParameterTrace:
         return self.means.shape[0]
 
     @classmethod
+    def empty(cls, iterations: int) -> "ParameterTrace":
+        """A trace of ``iterations`` rows, to be filled by :meth:`reduce`."""
+        return cls(PARAM_NAMES, *(np.empty((iterations, len(PARAM_NAMES))) for _ in range(3)))
+
+    def reduce(self, start: int, positions: np.ndarray) -> None:
+        """Fill the rows from ``start`` on from ``positions``, shaped
+        (iterations, m, dims): each row reduces one iteration's population,
+        as ``mean``/``min``/``max`` over axis 0 of that iteration's (m, dims)
+        array would."""
+        rows = slice(start, start + len(positions))
+        positions.mean(axis=1, out=self.means[rows])
+        positions.min(axis=1, out=self.mins[rows])
+        positions.max(axis=1, out=self.maxs[rows])
+
+    @classmethod
     def of(cls, positions: np.ndarray) -> "ParameterTrace":
-        """The trace of ``positions``, shaped (iterations, m, dims): each row
-        reduces one iteration's population, as ``mean``/``min``/``max`` over
-        axis 0 of that iteration's (m, dims) array would."""
-        return cls(PARAM_NAMES, positions.mean(axis=1), positions.min(axis=1), positions.max(axis=1))
+        """The trace of ``positions``, shaped (iterations, m, dims)."""
+        trace = cls.empty(len(positions))
+        trace.reduce(0, positions)
+        return trace
 
 
 def local_decay(rho: float, m: int) -> float:
@@ -125,7 +144,9 @@ def run_acsfa(
         for v in pop:
             yield v.beta, v.q0, local_decay(v.rho, m)
 
-    positions = np.empty((config.iterations, m, len(PARAM_NAMES)))  # reduced once, after the run
+    params = ParameterTrace.empty(config.iterations)
+    # populations are reduced a block of iterations at a time
+    block = np.empty((min(config.iterations, _TRACE_BLOCK), m, len(PARAM_NAMES)))
     best: Tour | None = None
     trace: list[int] = []
     light = [0.0] * m
@@ -137,9 +158,12 @@ def run_acsfa(
         pop = sweep(pop, light, alpha, config.bounds, rng)
         brightest = light.index(max(light))  # the brightest firefly never moved
         alpha = reduce_alpha(alpha, pop[brightest].delta)
-        positions[it] = pop
+        k = it % _TRACE_BLOCK
+        block[k] = pop
+        if k + 1 == len(block) or it + 1 == config.iterations:
+            params.reduce(it - k, block[: k + 1])
         trace.append(best.length)
 
     best_params = pop[brightest] if config.iterations > 0 else None
     record = _record("acsfa", inst, best, trace, t0, best_params)
-    return record, ParameterTrace.of(positions)
+    return record, params

@@ -123,9 +123,7 @@ class TspInstance:
                 raise ValueError("weight matrix must be symmetric")
             if n * int(w.max()) > _INT64_MAX:
                 raise ValueError("n x largest edge weight exceeds 2**63 - 1: tour lengths would overflow int64")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
-            dist = w
+            owner = w
         else:
             if self.coords is None or self.weights is not None:
                 raise ValueError(f"{self.metric} instances carry coordinates and no weight matrix")
@@ -140,13 +138,21 @@ class TspInstance:
                 )
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
-            dist = _euclidean_matrix(c) if self.metric == "EUC_2D" else _geo_matrix(c)
-            dist.setflags(write=False)
+            owner = _euclidean_matrix(c) if self.metric == "EUC_2D" else _geo_matrix(c)
+        # The instance keeps the matrix writeable and shows it through a
+        # read-only view: numpy's take() copies an index array that is not
+        # writeable, and the weight product in acsfa.acs indexes this one
+        # in place. Nothing writes it.
+        dist = owner.view()
+        dist.setflags(write=False)
+        if self.metric == "EXPLICIT":
+            object.__setattr__(self, "weights", dist)
+        object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_dist", dist)
 
     @property
     def dist(self) -> np.ndarray:
-        """Full (n, n) integer distance matrix."""
+        """Full (n, n) integer distance matrix, read-only."""
         return self._dist  # type: ignore[attr-defined]
 
 

@@ -374,8 +374,36 @@ class TestHeuristicPower:
 
     def test_range_levels_index_the_distances_without_a_copy(self, eil51):
         table, index = _heuristic_levels(eil51)
-        assert index is eil51.dist
+        assert np.shares_memory(index, eil51.dist)
+        assert index.shape == eil51.dist.shape
+        assert index.flags.writeable  # take() would copy a read-only index
+        assert not eil51.dist.flags.writeable
         assert table.size == eil51.dist.max() + 1
+
+    def test_range_levels_hold_one_distance_matrix(self):
+        n = 300
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inst = random_euclidean(n, np.random.default_rng(0))
+            table, index = _heuristic_levels(inst)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert np.shares_memory(index, inst.dist)
+        # one n x n int64 matrix, a level table of at most ~1400 doubles and the coordinates
+        assert n * n * 8 < held < 1.5 * n * n * 8
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_first_rebuild_across_row_blocks(self, n):
+        # _BLOCK_ROWS = 64: one block at 63 and 64 rows, two at 65
+        inst = random_euclidean(n, np.random.default_rng(n))
+        assert np.shares_memory(_heuristic_levels(inst)[1], inst.dist)  # the range path
+        tau = random_pheromone(n, n + 1)
+        for beta in (0.0, 2.0, 3.7):
+            assert first_rebuild(inst, beta, tau).tobytes() == (tau * heuristic_matrix(inst) ** beta).tobytes()
 
     @pytest.mark.parametrize("name", ["ulysses16", "wide", "explicit"])
     def test_distinct_levels_beyond_the_range(self, name, ulysses16):

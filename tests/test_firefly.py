@@ -205,6 +205,20 @@ class TestFireflyStep:
         assert rng.bit_generator.state == state
         assert pop == given_pop
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", PARAM_NAMES)
+    def test_non_finite_position_rejected_before_any_draw(self, bad, field):
+        # a NaN gamma once sent the dimmer firefly to the box's low corner
+        brighter = ParamVector(5.0, 0.8, 0.7, 3.0, 0.9)._replace(**{field: bad})
+        pop = [ParamVector(4.0, 0.7, 0.9, 3.0, 0.85), brighter]
+        given_pop = list(pop)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="positions must be finite"):
+            sweep(pop, [0.1, 0.9], 0.0, ParamBounds(), rng)
+        assert rng.bit_generator.state == state
+        assert len(pop) == 2 and all(a is b for a, b in zip(pop, given_pop))  # NaN != NaN
+
 
 class TestParamVector:
     def test_array_round_trip(self):

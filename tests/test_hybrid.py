@@ -206,6 +206,45 @@ class TestRunAcsfa:
             assert trace.mins[it].tobytes() == pop.min(axis=0).tobytes()
             assert trace.maxs[it].tobytes() == pop.max(axis=0).tobytes()
 
+    @pytest.mark.parametrize("iterations", [63, 64, 65, 129])
+    def test_trace_reduced_by_block_matches_each_iteration(self, iterations, tiny3, monkeypatch):
+        # 64 iterations per block: one block, one full, a full and a partial, three
+        pops = []
+        real_sweep = acsfa.hybrid.sweep
+
+        def spy(*args):
+            pop = real_sweep(*args)
+            pops.append(np.array(pop))
+            return pop
+
+        monkeypatch.setattr(acsfa.hybrid, "sweep", spy)
+        _, trace = run_acsfa(tiny3, HybridConfig(iterations=iterations, m=3), np.random.default_rng(0))
+        assert len(trace) == len(pops) == iterations
+        for it, pop in enumerate(pops):
+            assert trace.means[it].tobytes() == pop.mean(axis=0).tobytes()
+            assert trace.mins[it].tobytes() == pop.min(axis=0).tobytes()
+            assert trace.maxs[it].tobytes() == pop.max(axis=0).tobytes()
+
+    def test_population_buffer_does_not_grow_with_iterations(self):
+        # what a run keeps per iteration is its trace rows (120 bytes) and its
+        # best length; a buffer of every population would add 40 * m = 800
+        inst = random_euclidean(5, np.random.default_rng(1))
+
+        def peak(iterations: int) -> int:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run_acsfa(inst, HybridConfig(iterations=iterations, m=20), np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1] - before
+
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            slope = (peak(400) - peak(100)) / 300
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert slope < 400
+
     def test_fixed_seed_bit_reproducible(self, ulysses16):
         config = HybridConfig(iterations=30, m=5)
         rec_a, tr_a = run_acsfa(ulysses16, config, np.random.default_rng(11))
