@@ -150,6 +150,11 @@ class TspInstance:
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_dist", dist)
 
+    def __reduce__(self):
+        # pickle the inputs: the owner and its views would each be pickled
+        # whole, and unpickled apart; building again restores one matrix
+        return (type(self), (self.name, self.dimension, self.metric, self.coords, self.weights))
+
     @property
     def dist(self) -> np.ndarray:
         """Full (n, n) integer distance matrix, read-only."""

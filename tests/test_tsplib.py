@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -201,6 +202,21 @@ class TestInstanceValidation:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 1] = 99
         assert inst.dist[0, 1] != 99
+
+    @pytest.mark.parametrize("metric", ["EXPLICIT", "EUC_2D", "GEO"])
+    def test_pickle_round_trip_keeps_one_read_only_matrix(self, metric):
+        coords = np.random.default_rng(2).random((60, 2)) * 50.0
+        inst = TspInstance(name="p", dimension=60, metric="EUC_2D" if metric == "EXPLICIT" else metric, coords=coords)
+        if metric == "EXPLICIT":
+            inst = TspInstance(name="p", dimension=60, metric=metric, weights=inst.dist)
+        data = pickle.dumps(inst)
+        copy = pickle.loads(data)
+        assert len(data) < 1.2 * inst.dist.nbytes  # the matrix travels at most once
+        assert copy.dist.tobytes() == inst.dist.tobytes()
+        assert not copy.dist.flags.writeable
+        assert np.shares_memory(copy._owner, copy.dist)
+        if metric == "EXPLICIT":
+            assert np.shares_memory(copy.weights, copy.dist) and not copy.weights.flags.writeable
 
 
 class TestBadInputsRejected:
