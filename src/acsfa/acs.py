@@ -126,10 +126,11 @@ def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
     ``table[index]`` equals :func:`heuristic_matrix`. When the largest
     distance is below n * n the levels are 0..max and the index is the
     instance's own distance matrix, the writeable array behind the
-    read-only ``inst.dist``, so ``take`` reads it without a copy; otherwise
-    the levels are the distinct distances. The index is never written.
+    read-only ``inst.dist``: numpy's ``take`` copies an index that is not
+    writeable, and this one it reads in place. Otherwise the levels are the
+    distinct distances. The index is never written.
     """
-    d = inst._owner  # type: ignore[attr-defined]
+    d = inst._owner
     dmax = int(d.max())
     if dmax + 1 <= d.size:
         return _inverse_distance(np.arange(dmax + 1)), d
@@ -284,9 +285,10 @@ def construct_tour(
 # entries of each stale tour, at about this many rebuild entries apiece
 # (flat take, level lookup, multiply and put, fixed call costs spread in).
 # On a 2-core Xeon the two cost the same near n = 104 for one stale tour
-# (C = 52) and n = 128 for two (C = 32); a fixed-beta colony syncs one
-# tour per ant and two once per iteration, so C sits between them.
-_REFRESH_COST = 40
+# (a cost of 52) and n = 128 for two (a cost of 32), so a one-tour sync at
+# n in 65..104 refreshes where a rebuild would be a little faster. Either
+# way the product has the same bytes.
+_REFRESH_COST = 32
 
 
 class _WeightProduct:
@@ -326,9 +328,7 @@ class _WeightProduct:
         return self.matrix
 
     def _rebuild(self) -> None:
-        # take() with out= copies a read-only index (hence the writeable
-        # one from _heuristic_levels) and, in mode "raise", buffers its whole
-        # output: gather block by block
+        # take() in mode "raise" buffers its whole output: gather block by block
         w, index, take = self.matrix, self.index, self.powers.take
         for lo in range(0, len(w), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS

@@ -80,26 +80,18 @@ class ParameterTrace:
         return self.means.shape[0]
 
     @classmethod
-    def empty(cls, iterations: int) -> "ParameterTrace":
-        """A trace of ``iterations`` rows, to be filled by :meth:`reduce`."""
+    def _empty(cls, iterations: int) -> "ParameterTrace":
+        # a trace of ``iterations`` rows, to be filled by _reduce
         return cls(PARAM_NAMES, *(np.empty((iterations, len(PARAM_NAMES))) for _ in range(3)))
 
-    def reduce(self, start: int, positions: np.ndarray) -> None:
-        """Fill the rows from ``start`` on from ``positions``, shaped
-        (iterations, m, dims): each row reduces one iteration's population,
-        as ``mean``/``min``/``max`` over axis 0 of that iteration's (m, dims)
-        array would."""
+    def _reduce(self, start: int, positions: np.ndarray) -> None:
+        # fill the rows from ``start`` on from ``positions``, shaped
+        # (iterations, m, dims): each row reduces one iteration's population,
+        # as mean/min/max over axis 0 of that iteration's (m, dims) array would
         rows = slice(start, start + len(positions))
         positions.mean(axis=1, out=self.means[rows])
         positions.min(axis=1, out=self.mins[rows])
         positions.max(axis=1, out=self.maxs[rows])
-
-    @classmethod
-    def of(cls, positions: np.ndarray) -> "ParameterTrace":
-        """The trace of ``positions``, shaped (iterations, m, dims)."""
-        trace = cls.empty(len(positions))
-        trace.reduce(0, positions)
-        return trace
 
 
 def local_decay(rho: float, m: int) -> float:
@@ -144,7 +136,7 @@ def run_acsfa(
         for v in pop:
             yield v.beta, v.q0, local_decay(v.rho, m)
 
-    params = ParameterTrace.empty(config.iterations)
+    params = ParameterTrace._empty(config.iterations)
     # populations are reduced a block of iterations at a time
     block = np.empty((min(config.iterations, _TRACE_BLOCK), m, len(PARAM_NAMES)))
     best: Tour | None = None
@@ -161,7 +153,7 @@ def run_acsfa(
         k = it % _TRACE_BLOCK
         block[k] = pop
         if k + 1 == len(block) or it + 1 == config.iterations:
-            params.reduce(it - k, block[: k + 1])
+            params._reduce(it - k, block[: k + 1])
         trace.append(best.length)
 
     best_params = pop[brightest] if config.iterations > 0 else None

@@ -11,7 +11,7 @@ integers directly comparable with published best-known optima.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +99,10 @@ class TspInstance:
     metric: str
     coords: np.ndarray | None = None
     weights: np.ndarray | None = None
+    # the distance matrix the instance built or copied, kept writeable; it
+    # is shown only as the read-only ``dist`` and nothing writes it
+    _owner: np.ndarray = field(init=False, repr=False)
+    _dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.dimension
@@ -139,10 +143,6 @@ class TspInstance:
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
             owner = _euclidean_matrix(c) if self.metric == "EUC_2D" else _geo_matrix(c)
-        # The instance keeps the matrix writeable and shows it through a
-        # read-only view: numpy's take() copies an index array that is not
-        # writeable, and the weight product in acsfa.acs indexes this one
-        # in place. Nothing writes it.
         dist = owner.view()
         dist.setflags(write=False)
         if self.metric == "EXPLICIT":
@@ -158,7 +158,7 @@ class TspInstance:
     @property
     def dist(self) -> np.ndarray:
         """Full (n, n) integer distance matrix, read-only."""
-        return self._dist  # type: ignore[attr-defined]
+        return self._dist
 
 
 def tour_length(inst: TspInstance, order) -> int:

@@ -199,7 +199,8 @@ class TestRunAcsfa:
         )
     )
     def test_trace_reduced_once_matches_each_iteration(self, positions):
-        trace = ParameterTrace.of(positions)
+        trace = ParameterTrace._empty(len(positions))
+        trace._reduce(0, positions)
         assert trace.names == PARAM_NAMES and len(trace) == len(positions)
         for it, pop in enumerate(positions):  # pop has the (m, 5) layout of one iteration's np.array(pop)
             assert trace.means[it].tobytes() == pop.mean(axis=0).tobytes()
