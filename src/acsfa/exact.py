@@ -44,19 +44,25 @@ def brute_force(inst: TspInstance) -> Tour:
 def held_karp(inst: TspInstance) -> int:
     """Exact optimal tour length via dynamic programming over city subsets.
 
-    Memory grows as n * 2**n; the cap of 18 cities needs ~18 MB.
+    Memory grows as n * 2**n: the table is int32 while n times the largest
+    weight stays below 2**31 - 1 less that weight, else int64, so the cap of
+    18 cities needs ~9 MB in int32 and ~18 MB in int64.
     """
     n = inst.dimension
     if n > HELD_KARP_MAX:
         raise ValueError(f"held-karp is capped at {HELD_KARP_MAX} cities, got {n}")
-    d = inst.dist
+    top = int(inst.dist.max())
+    # a path sum is at most n * top, which TspInstance bounds by 2**63 - 1;
+    # the table takes the narrower dtype whose max less top (the sentinel
+    # for unreached entries) stays above that, so every real path beats the
+    # sentinel and adding a weight to the sentinel cannot overflow
+    dtype = np.int32 if n * top < np.iinfo(np.int32).max - top else np.int64
+    unreached = np.iinfo(dtype).max - top
+    d = inst.dist.astype(dtype)
     m = n - 1
     full = 1 << m
-    # TspInstance bounds n x the largest weight by 2**63 - 1, so a path sum
-    # never exceeds this sentinel and adding a weight to it cannot overflow
-    unreached = np.iinfo(np.int64).max - int(d.max())
     # dp[mask, j]: cheapest path from city 0 through set `mask` ending at j+1
-    dp = np.full((full, m), unreached, dtype=np.int64)
+    dp = np.full((full, m), unreached, dtype=dtype)
     dp[np.left_shift(1, np.arange(m)), np.arange(m)] = d[0, 1:]
     sub = d[1:, 1:]
     for mask in range(3, full):

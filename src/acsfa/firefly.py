@@ -98,24 +98,6 @@ class ParamVector(NamedTuple):
         return cls(*(float(v) for v in values))
 
 
-def param_distance(a: ParamVector, b: ParamVector, bounds: ParamBounds) -> float:
-    """Euclidean distance after dividing each difference by its range width."""
-    total = 0.0
-    for x, y, (_, _, width) in zip(a, b, bounds.sides):
-        d = (x - y) / width
-        total += d * d
-    return math.sqrt(total)
-
-
-def attractiveness(gamma: float, r: float) -> float:
-    """exp(-gamma * r^2): full attraction (1) at r = 0, fading with distance."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if r < 0:
-        raise ValueError(f"distance must be >= 0, got {r}")
-    return math.exp(-gamma * r * r)
-
-
 def move(
     xi: ParamVector,
     xj: ParamVector,
@@ -136,12 +118,13 @@ def move(
 
     The math runs on the five fields as Python floats, written out per
     dimension (about twice as fast as a loop over them, and the hybrid
-    calls this ~30 times per iteration): :func:`param_distance`'s sum of
-    squares from 0.0 in field order, :func:`attractiveness`, then
-    ``max(low, x)`` and ``min(high, y)`` as the conditionals those return
-    (np.clip's operand order: a tie returns the bound, which fixes the sign
-    of a zero). These are the same IEEE operations in the same order as
-    the elementwise array form, so the result is bit-identical to it.
+    calls this ~30 times per iteration): the width-normalised distance r
+    as one sum of squares from 0.0 in field order, then ``sqrt``; the
+    attractiveness ``exp(-gamma * r * r)``; then ``max(low, x)`` and
+    ``min(high, y)`` as the conditionals those return (np.clip's operand
+    order: a tie returns the bound, which fixes the sign of a zero). These
+    are the same IEEE operations in the same order as the elementwise
+    array form, so the result is bit-identical to it.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

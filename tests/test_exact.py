@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,15 +86,37 @@ class TestHeldKarp:
         inst = explicit([[0, m + 1, 1, m], [m + 1, 0, m, 1], [1, m, 0, m + 3], [m, 1, m + 3, 0]])
         assert held_karp(inst) == brute_force(inst).length == 2 * m + 2
 
+    def test_memory_is_bounded(self, ulysses16):
+        # the int64 table alone is 2**15 x 15 x 8 bytes = 3.9 MB; ulysses16's
+        # weights fit the int32 table
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert held_karp(ulysses16) == 6859
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2.5e6
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(4, 9),
         spread=st.sampled_from([3, 1000, 2**40]),
+        bound=st.sampled_from(["int64", "int32", "int32 + 1"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_brute_force_near_the_int64_bound(self, n, spread, seed):
-        # weights just under (2**63 - 1) // n, where tour sums approach 2**63 - 1
-        top = (2**63 - 1) // n
-        w = np.triu(top - np.random.default_rng(seed).integers(0, spread, (n, n), endpoint=True), 1)
+    def test_matches_brute_force_near_the_int64_bound(self, n, spread, bound, seed):
+        # weights up to `top`, where tour sums approach 2**63 - 1, or where
+        # n * top reaches 2**31 - 1 - top, the edge of the int32 table
+        top = {
+            "int64": (2**63 - 1) // n,
+            "int32": (2**31 - 1) // (n + 1),  # the largest top that keeps int32
+            "int32 + 1": (2**31 - 1) // (n + 1) + 1,
+        }[bound]
+        w = np.triu(top - np.random.default_rng(seed).integers(0, min(spread, top), (n, n), endpoint=True), 1)
+        w[0, n - 1] = top
         inst = explicit(w + w.T)
         assert held_karp(inst) == brute_force(inst).length

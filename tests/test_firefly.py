@@ -9,9 +9,7 @@ from acsfa.firefly import (
     PARAM_NAMES,
     ParamBounds,
     ParamVector,
-    attractiveness,
     move,
-    param_distance,
     reduce_alpha,
     sweep,
 )
@@ -60,42 +58,41 @@ class TestBounds:
 
 
 class TestParamDistance:
+    """The width-normalised distance inside ``move``, pinned on the array
+    reference that ``test_move_matches_the_array_reference`` holds ``move`` to."""
+
     def test_identity(self):
         v = ParamVector(4.0, 0.7, 0.9, 3.0, 0.85)
-        assert param_distance(v, v, BOUNDS) == 0.0
+        assert reference_distance(v, v, BOUNDS) == 0.0
 
     def test_opposite_corners(self):
-        assert param_distance(LOW, HIGH, BOUNDS) == pytest.approx(math.sqrt(5.0))
+        assert reference_distance(LOW, HIGH, BOUNDS) == pytest.approx(math.sqrt(5.0))
 
     def test_single_dimension_normalized(self):
         a = ParamVector(0.0, 0.5, 0.5, 0.0, 0.8)
         b = ParamVector(4.0, 0.5, 0.5, 0.0, 0.8)
-        assert param_distance(a, b, BOUNDS) == pytest.approx(0.5)
+        assert reference_distance(a, b, BOUNDS) == pytest.approx(0.5)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = ParamVector.from_array(BOUNDS.lows + rng.random(5) * BOUNDS.widths)
             b = ParamVector.from_array(BOUNDS.lows + rng.random(5) * BOUNDS.widths)
-            assert param_distance(a, b, BOUNDS) == pytest.approx(param_distance(b, a, BOUNDS))
+            assert reference_distance(a, b, BOUNDS) == pytest.approx(reference_distance(b, a, BOUNDS))
 
 
 class TestAttractiveness:
-    def test_zero_distance_gives_one(self):
-        assert attractiveness(3.7, 0.0) == 1.0
-
-    def test_zero_gamma_constant(self):
-        for r in (0.0, 0.4, 2.0, 100.0):
-            assert attractiveness(0.0, r) == 1.0
+    """``move``'s pull exp(-gamma * r^2); r = 0 and gamma = 0 (full pull)
+    are in ``test_move_matches_the_array_reference``'s draws."""
 
     def test_unit_point(self):
-        assert attractiveness(1.0, 1.0) == pytest.approx(math.exp(-1.0))
+        # one width apart in beta alone: r = 1, so gamma 1 pulls by exp(-1)
+        got = move(LOW, LOW._replace(beta=8.0), 0.0, 1.0, BOUNDS, np.random.default_rng(0).random(5))
+        assert got == pytest.approx(LOW._replace(beta=8.0 * math.exp(-1.0)), abs=1e-12)
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            attractiveness(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            attractiveness(1.0, -0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            move(LOW, HIGH, 0.0, -0.1, BOUNDS, np.random.default_rng(0).random(5))
 
 
 class TestMove:
@@ -302,7 +299,6 @@ def boxes_and_points(draw):
 )
 def test_move_matches_the_array_reference(case, gamma, alpha, seed):
     bounds, xi, xj = case
-    assert param_distance(xi, xj, bounds) == reference_distance(xi, xj, bounds)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = reference_move(xi, xj, alpha, gamma, bounds, ref_rng.random(5))
     got = move(xi, xj, alpha, gamma, bounds, rng.random(5))

@@ -9,10 +9,13 @@ import acsfa
 from conftest import SRC
 
 
-def scipy_loaded_after(code: str) -> set[str]:
-    """The scipy modules a fresh interpreter holds after running code."""
+def loaded_after(code: str, package: str) -> set[str]:
+    """The modules of a package that a fresh interpreter holds after running code."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH", "")) if p)
-    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = code + (
+        "\nimport sys\n"
+        f"print(' '.join(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -25,13 +28,13 @@ def scipy_loaded_after(code: str) -> set[str]:
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats adds ~0.6 s and ~46 MB to the import
-    assert not any(m.startswith("scipy.stats") for m in scipy_loaded_after("import acsfa"))
+    assert not any(m.startswith("scipy.stats") for m in loaded_after("import acsfa", "scipy"))
 
 
 def test_import_loads_no_scipy():
     # the solvers and every CLI subcommand import stats through the package,
     # so a solver run or a worker process pays for numpy alone
-    assert scipy_loaded_after("import acsfa, acsfa.cli") == set()
+    assert loaded_after("import acsfa, acsfa.cli", "scipy") == set()
 
 
 def test_statistics_load_no_scipy(tmp_path):
@@ -47,7 +50,14 @@ def test_statistics_load_no_scipy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert acsfa.cli.main(['stats', {str(matrix)!r}]) == 0\n"
     )
-    assert scipy_loaded_after(code) == set()
+    assert loaded_after(code, 'scipy') == set()
+
+
+def test_quantile_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is computed in stats; numpy's leggauss
+    # eigensolved a 512 x 512 companion matrix for it
+    code = "import acsfa\nacsfa.studentized_range_quantile(0.9, 3, 22)"
+    assert loaded_after(code, "numpy.polynomial") == set()
 
 
 def test_every_exported_name_resolves():

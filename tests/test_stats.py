@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,23 @@ class TestNormalCdf:
         assert np.abs(stats._ndtr(a) - special.ndtr(a)).max() <= 1e-13
 
 
+class TestLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 7, 192, 384, 512])
+    def test_matches_numpy_leggauss(self, n):
+        x, w = stats._legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.abs(x - ref_x).max() <= 2e-16
+        assert np.abs(w / ref_w - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [192, 384, 512])
+    def test_integrates_even_powers(self, n):
+        # an n-point rule is exact up to degree 2n - 1
+        x, w = stats._legendre(n)
+        assert float(w.sum()) == pytest.approx(2.0, abs=1e-15)
+        for k in (1, 4, n // 2, n - 1):
+            assert float(w @ x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), abs=1e-15)
+
+
 class TestStudentizedRange:
     def test_cdf_matches_scipy(self):
         for q, k, df in [(3.0, 3, 22), (2.5, 3, 10), (4.0, 5, 40), (1.2, 2, 5)]:
@@ -308,7 +326,8 @@ class TestStudentizedRange:
         assert points[:9] == [4.0 * 2**i for i in range(9)]
         assert all(512.0 < x < 1024.0 for x in points[9:])
         assert len(points) <= 17
-        assert q == pytest.approx(900.3155756381, abs=1e-9)
+        # the two-group range is sqrt(2) |t_1|, so this is the exact quantile
+        assert q == pytest.approx(math.sqrt(2.0) * float(special.stdtrit(1, 0.9995)), abs=1e-9)
 
     def test_root_search_below_the_first_doubling_starts_at_zero(self, monkeypatch):
         # the 0.9 quantile at k = 3, df = 22 lies below 4, so the doubling
@@ -331,6 +350,24 @@ class TestStudentizedRange:
         assert all(0.0 < x < 4.0 for x in points[1:])
         assert len(points) <= 11
         assert cdf(q, 3, 22) == pytest.approx(0.9, abs=1e-9)
+
+    def test_cold_quantile_memory_is_bounded(self):
+        # numpy's leggauss eigensolved a 512 x 512 matrix and the CDF took
+        # 64-row blocks: a 2.7 MB traced peak for this quantile
+        stats._legendre.cache_clear()
+        stats._quantile.cache_clear()
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            studentized_range_quantile(0.9, 3, 22)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+            stats._quantile.cache_clear()
+        assert peak < 1e6
 
     def test_published_table_anchors(self):
         # classic 5% critical points: q(3, 20) = 3.58, q(3, 24) = 3.53
