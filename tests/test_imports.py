@@ -50,7 +50,7 @@ def test_statistics_load_no_scipy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert acsfa.cli.main(['stats', {str(matrix)!r}]) == 0\n"
     )
-    assert loaded_after(code, 'scipy') == set()
+    assert loaded_after(code, "scipy") == set()
 
 
 def test_quantile_loads_no_numpy_polynomial():
