@@ -47,7 +47,6 @@ _SOLVER_KEYS = (
     ("acs_rho", AcsParams, "rho"),
     ("acs_q0", AcsParams, "q0"),
     ("alpha", AcsParams, "alpha"),
-    ("fa_alpha0", HybridConfig, "fa_alpha0"),
 )
 
 
@@ -72,7 +71,6 @@ class ExperimentConfig:
     acs_rho: float = AcsParams.rho
     acs_q0: float = AcsParams.q0
     alpha: float = AcsParams.alpha
-    fa_alpha0: float = HybridConfig.fa_alpha0
     output_dir: str = "acsfa-out"
     acs: AcsParams = field(init=False)
     hybrid: HybridConfig = field(init=False)
@@ -119,10 +117,13 @@ class ExperimentConfig:
                 owner(**{name: getattr(self, key)})
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+        for name in PARAM_NAMES:  # the hybrid checks each box side against the ant count
+            try:
+                HybridConfig(m=self.ants, bounds=replace(ParamBounds(), **{name: getattr(self.bounds, name)}))
+            except ValueError as exc:
+                raise ValueError(f"{name}_range: {exc}") from None
         acs = AcsParams(beta=self.acs_beta, rho=self.acs_rho, q0=self.acs_q0, alpha=self.alpha, m=self.ants)
-        hybrid = HybridConfig(
-            iterations=self.iterations, m=self.ants, bounds=self.bounds, alpha=self.alpha, fa_alpha0=self.fa_alpha0
-        )
+        hybrid = HybridConfig(iterations=self.iterations, m=self.ants, bounds=self.bounds, alpha=self.alpha)
         object.__setattr__(self, "acs", acs)
         object.__setattr__(self, "hybrid", hybrid)
 
@@ -167,7 +168,7 @@ class ExperimentResult:
 
 _RANGE_KEYS = {f"{name}_range": name for name in PARAM_NAMES}
 _INT_KEYS = ("repetitions", "iterations", "ants", "base_seed")
-_FLOAT_KEYS = ("acs_beta", "acs_rho", "acs_q0", "alpha", "fa_alpha0")
+_FLOAT_KEYS = ("acs_beta", "acs_rho", "acs_q0", "alpha")
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -229,11 +230,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         raise ValueError("instances: required key is missing")
     if "output_dir" not in kwargs:
         kwargs["output_dir"] = str(base_dir / "acsfa-out")
-    if ranges:
-        defaults = ParamBounds()
-        kwargs["bounds"] = ParamBounds(
-            **{name: ranges.get(name, getattr(defaults, name)) for name in PARAM_NAMES}
-        )
+    kwargs["bounds"] = ParamBounds(**ranges)  # unset sides keep their defaults
     config = ExperimentConfig(**kwargs)
     missing = [p for p in config.instances if not Path(p).is_file()]
     if missing:
@@ -385,6 +382,8 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
     summary_path.write_text(format_summary(result.summaries))
     written.append(summary_path)
 
+    for optional in ("best_matrix.csv", "failures.txt"):  # an earlier export's, unless rewritten below
+        (out / optional).unlink(missing_ok=True)
     if len({s.algorithm for s in result.summaries}) >= 2 and len(
         {s.instance for s in result.summaries}
     ) >= 2:

@@ -21,9 +21,9 @@ tour is not used: on a shared matrix it rewards copying the reinforced tour
 (beta toward 0, q0 toward 1), which stalls the search.
 
 A random kick moves each dimension by up to ``alpha / 2`` of its width
-either way (see :func:`acsfa.firefly.move`); ``alpha`` starts at
-``fa_alpha0`` and shrinks by the brightest firefly's delta after every
-iteration.
+either way (see :func:`acsfa.firefly.move`); ``alpha`` starts at 2.3 range
+widths, fixed rather than a setting, and shrinks by the brightest firefly's
+delta after every iteration.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .tsplib import Tour, TspInstance
 # Iterations per block of populations reduced into the trace at once: the
 # buffer holds 40 * m bytes per iteration, bounded by the block, not the run.
 _TRACE_BLOCK = 64
+_FIRST_KICK = 2.3  # the kick size alpha starts at, in range widths
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class HybridConfig:
     m: int = AcsParams.m
     bounds: ParamBounds = field(default_factory=ParamBounds)
     alpha: float = AcsParams.alpha
-    fa_alpha0: float = 2.3
 
     def __post_init__(self) -> None:
         if not is_integer(self.iterations):
@@ -59,19 +59,20 @@ class HybridConfig:
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         AcsParams(m=self.m, alpha=self.alpha)  # their owner checks m and alpha
-        if not 0.0 < self.fa_alpha0 < math.inf:
-            raise ValueError(f"fa_alpha0 must be finite and positive, got {self.fa_alpha0}")
+        for name, (_, high, _) in zip(PARAM_NAMES, self.bounds.sides):
+            if not math.isfinite(self.m * high):
+                raise ValueError(f"{name} bounds: m = {self.m} times high = {high} overflows the trace's mean")
 
 
 @dataclass(frozen=True, eq=False)
 class ParameterTrace:
     """Per-iteration population statistics of the tuned parameters.
 
-    Column order matches ``names``; one row per completed iteration. Means
-    are what the usual evolution plots show, min/max are extra diagnostics.
+    Columns follow the class constant ``names``; one row per completed
+    iteration. Means are what evolution plots show; min/max are diagnostics.
     """
 
-    names: tuple[str, ...]
+    names = PARAM_NAMES
     means: np.ndarray
     mins: np.ndarray
     maxs: np.ndarray
@@ -82,7 +83,7 @@ class ParameterTrace:
     @classmethod
     def _empty(cls, iterations: int) -> "ParameterTrace":
         # a trace of ``iterations`` rows, to be filled by _reduce
-        return cls(PARAM_NAMES, *(np.empty((iterations, len(PARAM_NAMES))) for _ in range(3)))
+        return cls(*(np.empty((iterations, len(PARAM_NAMES))) for _ in range(3)))
 
     def _reduce(self, start: int, positions: np.ndarray) -> None:
         # fill the rows from ``start`` on from ``positions``, shaped
@@ -121,16 +122,16 @@ def run_acsfa(
     sweep evolves the parameter population with each ant's record as
     brightness (the inverse length of the best tour it built that was a new
     global best when built, zero if none); and the kick size alpha, which
-    starts at ``fa_alpha0`` range widths, shrinks by the brightest
-    firefly's delta. Ants keep their own vector across iterations (the sweep
-    moves vectors in place rather than reassigning them by rank); that
-    identity-stable pairing measurably tightens solution quality. The brightest firefly never moves, so
-    ``best_params`` is the vector that built the best tour.
+    starts at 2.3 range widths, shrinks by the brightest firefly's delta. Ants
+    keep their own vector across iterations (the sweep moves vectors in
+    place rather than reassigning them by rank); that identity-stable
+    pairing measurably tightens solution quality. The brightest firefly
+    never moves, so ``best_params`` is the vector that built the best tour.
     """
     t0 = time.perf_counter()
     m = config.m
     pop = init_population(config.bounds, m, rng)
-    alpha = config.fa_alpha0
+    alpha = _FIRST_KICK
 
     def ants():
         for v in pop:

@@ -93,9 +93,8 @@ class TestConfigParsing:
         assert config.acs == AcsParams(q0=0.5, alpha=0.2, m=3)
         assert config.hybrid == HybridConfig(iterations=7, m=3, alpha=0.2)
         # replace() runs __post_init__ again, so the derived settings follow
-        changed = replace(config, ants=5, fa_alpha0=1.5)
+        changed = replace(config, ants=5)
         assert changed.acs.m == changed.hybrid.m == 5
-        assert changed.hybrid.fa_alpha0 == 1.5
         with pytest.raises(TypeError):
             ExperimentConfig(instances=(str(mini_path),), acs=AcsParams())
 
@@ -140,6 +139,9 @@ output_dir = results
             "beta_range = -3 -1",
             "gamma_range = 4 2",
             "beta_range = a b",
+            # ten ants' positions sum past the largest float
+            "gamma_range = 0 1e308",
+            "beta_range = 0 1e308",
         ],
     )
     def test_range_error_names_the_key(self, mini_path, line):
@@ -149,7 +151,7 @@ output_dir = results
 
     @pytest.mark.parametrize(
         "key, value",
-        [("acs_beta", "nan"), ("acs_beta", "inf"), ("fa_alpha0", "nan"), ("fa_alpha0", "inf")],
+        [("acs_beta", "nan"), ("acs_beta", "inf")],
     )
     def test_non_finite_value_rejected(self, mini_path, key, value):
         with pytest.raises(ValueError, match=f"^{key}: "):
@@ -213,6 +215,18 @@ output_dir = results
     def test_unknown_key_rejected(self, mini_path):
         with pytest.raises(ValueError, match="frobnicate"):
             parse_config(f"instances = {mini_path}\nfrobnicate = 3\n")
+
+    def test_first_kick_is_not_a_setting(self, mini_path):
+        with pytest.raises(ValueError, match="^unknown config key 'fa_alpha0'$"):
+            parse_config(f"instances = {mini_path}\nfa_alpha0 = 2.3\n")
+
+    def test_box_whose_mean_overflows_names_the_range_key(self, mini_path):
+        box = ParamBounds(gamma=(0.0, 1e308))
+        message = "gamma_range: gamma bounds: m = 10 times high = 1e+308 overflows the trace's mean"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(instances=(str(mini_path),), bounds=box)
+        # fewer ants keep the same box's means finite
+        assert ExperimentConfig(instances=(str(mini_path),), bounds=box, ants=1).hybrid.bounds == box
 
     def test_missing_instance_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
@@ -487,6 +501,22 @@ class TestExport:
         assert matrix.blocks == ("mini5", "square40")
         names = {p.name for p in export(result)}
         assert "best_matrix.csv" in names
+
+    def test_second_export_leaves_no_optional_file_it_did_not_write(self, mini_path, mini_config, tmp_path):
+        first, second = tmp_path / "a.tsp", tmp_path / "b.tsp"
+        first.write_text(format_instance(random_euclidean(12, np.random.default_rng(1))))
+        second.write_text(format_instance(random_euclidean(12, np.random.default_rng(2))))
+        out = tmp_path / "shared"
+        config = ExperimentConfig(
+            instances=(str(first), str(mini_path), str(second)), repetitions=1, iterations=2, ants=2
+        )
+        earlier = {p.name for p in export(run_experiment(config), out)}
+        assert {"best_matrix.csv", "failures.txt"} <= earlier
+        later = export(run_experiment(mini_config), out)
+        assert not {"best_matrix.csv", "failures.txt"} & {p.name for p in later}
+        on_disk = {p.name for p in out.rglob("*") if p.is_file()}
+        # only the two optional files go; runs and traces of the first export stay
+        assert on_disk == (earlier | {p.name for p in later}) - {"best_matrix.csv", "failures.txt"}
 
 
 def test_known_optima_metadata():

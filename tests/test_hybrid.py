@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -71,7 +72,7 @@ class TestFireflyCoupling:
         record, _ = run_acsfa(ulysses16, config, np.random.default_rng(4))
         trace = record.best_lengths
         assert len(seen) == 30
-        assert seen[0][1] == config.fa_alpha0
+        assert seen[0][1] == acsfa.hybrid._FIRST_KICK
         for it, (light, alpha, brightest_delta, shrink) in enumerate(seen):
             lit = [b for b in light if b > 0.0]
             # the brightest firefly is the ant holding the global best; the
@@ -83,16 +84,6 @@ class TestFireflyCoupling:
             assert shrink == brightest_delta
             if it + 1 < len(seen):
                 assert seen[it + 1][1] == alpha * shrink
-
-    def test_fa_alpha0_sets_the_kick_size(self, ulysses16):
-        runs = [
-            run_acsfa(ulysses16, HybridConfig(iterations=5, m=5, fa_alpha0=a0), np.random.default_rng(6))[1]
-            for a0 in (0.01, 2.3)
-        ]
-        # same seed and start: the populations part only through their kicks
-        assert not np.array_equal(runs[0].means, runs[1].means)
-        spread = [float((trace.maxs - trace.mins)[-1].max()) for trace in runs]
-        assert spread[0] < spread[1]
 
 
 class TestInitPopulation:
@@ -129,7 +120,7 @@ class TestConfig:
         assert config.iterations == 1000
         assert config.m == 10
         assert config.alpha == 0.1
-        assert config.fa_alpha0 == 2.3
+        assert acsfa.hybrid._FIRST_KICK == 2.3  # fixed, not a setting
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -138,20 +129,23 @@ class TestConfig:
             {"m": 0},
             {"alpha": 0.0},
             {"alpha": 1.0},
-            {"fa_alpha0": 0.0},
             {"iterations": 2.5},
             {"m": 2.5},
             {"iterations": True},  # bool is an Integral
+            {"m": 10, "bounds": ParamBounds(gamma=(0.0, 1e308))},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HybridConfig(**kwargs)
 
-    @pytest.mark.parametrize("fa_alpha0", [float("nan"), float("inf")])
-    def test_non_finite_fa_alpha0_rejected(self, fa_alpha0):
-        with pytest.raises(ValueError, match="fa_alpha0"):
-            HybridConfig(fa_alpha0=fa_alpha0)
+    @pytest.mark.parametrize("name", ["beta", "gamma"])
+    def test_box_whose_mean_overflows_rejected(self, name):
+        # the trace's mean sums m positions, so m * high must stay finite
+        high = sys.float_info.max / 10
+        HybridConfig(m=10, bounds=ParamBounds(**{name: (0.0, high)}))
+        with pytest.raises(ValueError, match=f"^{name} bounds: m = 11 times high = "):
+            HybridConfig(m=11, bounds=ParamBounds(**{name: (0.0, high)}))
 
 
 class TestRunAcsfa:
