@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .acs import AcsParams, RunRecord, is_integer, run_acs
-from .firefly import PARAM_NAMES, ParamBounds, check_bounds
+from .firefly import PARAM_NAMES
 from .hybrid import HybridConfig, ParameterTrace, run_acsfa
 from .stats import ResponseMatrix, write_response_matrix
 from .tsplib import TsplibParseError, parse_instance
@@ -56,9 +56,11 @@ class ExperimentConfig:
 
     Each solver setting takes its default and range check from its owner,
     :class:`AcsParams` or :class:`HybridConfig`; ``acs`` and ``hybrid`` hold
-    the validated settings that the two solvers run with.
+    the validated settings that the two solvers run with. The firefly box
+    ``bounds`` is the hybrid's class constant, not a setting.
     """
 
+    bounds = HybridConfig.bounds
     instances: tuple[str, ...]
     algorithms: tuple[str, ...] = ALGORITHMS
     repetitions: int = 10
@@ -66,7 +68,6 @@ class ExperimentConfig:
     ants: int = AcsParams.m
     base_seed: int = 0
     seeds: tuple[int, ...] | None = None
-    bounds: ParamBounds = field(default_factory=ParamBounds)
     acs_beta: float = AcsParams.beta
     acs_rho: float = AcsParams.rho
     acs_q0: float = AcsParams.q0
@@ -117,13 +118,8 @@ class ExperimentConfig:
                 owner(**{name: getattr(self, key)})
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        for name in PARAM_NAMES:  # the hybrid checks each box side against the ant count
-            try:
-                HybridConfig(m=self.ants, bounds=replace(ParamBounds(), **{name: getattr(self.bounds, name)}))
-            except ValueError as exc:
-                raise ValueError(f"{name}_range: {exc}") from None
         acs = AcsParams(beta=self.acs_beta, rho=self.acs_rho, q0=self.acs_q0, alpha=self.alpha, m=self.ants)
-        hybrid = HybridConfig(iterations=self.iterations, m=self.ants, bounds=self.bounds, alpha=self.alpha)
+        hybrid = HybridConfig(iterations=self.iterations, m=self.ants, alpha=self.alpha)
         object.__setattr__(self, "acs", acs)
         object.__setattr__(self, "hybrid", hybrid)
 
@@ -166,7 +162,6 @@ class ExperimentResult:
     failures: list[InstanceFailure]
 
 
-_RANGE_KEYS = {f"{name}_range": name for name in PARAM_NAMES}
 _INT_KEYS = ("repetitions", "iterations", "ants", "base_seed")
 _FLOAT_KEYS = ("acs_beta", "acs_rho", "acs_q0", "alpha")
 
@@ -187,8 +182,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
+    if "seeds" in raw and "base_seed" in raw:  # seeds would override base_seed
+        raise ValueError("seeds, base_seed: set one of the two keys, not both")
     kwargs: dict = {}
-    ranges: dict[str, tuple[float, float]] = {}
     for key, value in raw.items():
         if key == "instances":
             paths = [p.strip() for p in value.split(",") if p.strip()]
@@ -212,17 +208,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
                 kwargs[key] = float(value)
             except ValueError:
                 raise ValueError(f"{key}: expected a number, got {value!r}") from None
-        elif key in _RANGE_KEYS:
-            name = _RANGE_KEYS[key]
-            try:
-                low, high = (float(part) for part in value.replace(",", " ").split())
-            except ValueError:
-                raise ValueError(f"{key}: expected two numbers 'low high', got {value!r}") from None
-            ranges[name] = (low, high)
-            try:
-                check_bounds(name, *ranges[name])
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
         else:
             raise ValueError(f"unknown config key {key!r}")
 
@@ -230,7 +215,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         raise ValueError("instances: required key is missing")
     if "output_dir" not in kwargs:
         kwargs["output_dir"] = str(base_dir / "acsfa-out")
-    kwargs["bounds"] = ParamBounds(**ranges)  # unset sides keep their defaults
     config = ExperimentConfig(**kwargs)
     missing = [p for p in config.instances if not Path(p).is_file()]
     if missing:
@@ -412,4 +396,11 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
             "".join(f"{f.path}: {f.error}\n" for f in result.failures)
         )
         written.append(failures_path)
+
+    kept = set(written)
+    for folder in (runs_dir, out / "traces"):  # an earlier export's files, unless rewritten above
+        if folder.is_dir():
+            for path in folder.iterdir():
+                if path.is_file() and path not in kept:
+                    path.unlink()
     return written

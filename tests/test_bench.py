@@ -107,15 +107,12 @@ repetitions = 4
 iterations = 25
 ants = 6
 seeds = 1, 2, 3, 4
-beta_range = 0 4
 acs_q0 = 0.5
 output_dir = results
 """
         config = parse_config(text, base_dir=mini_path.parent)
         assert config.repetitions == 4
         assert config.seeds == (1, 2, 3, 4)
-        assert config.bounds.beta == (0.0, 4.0)
-        assert config.bounds.rho == (0.5, 1.0)  # untouched dimensions keep defaults
         assert config.acs_q0 == 0.5
         assert config.algorithms == ("acs",)
 
@@ -127,27 +124,32 @@ output_dir = results
         with pytest.raises(ValueError, match="seeds"):
             parse_config(f"instances = {mini_path}\nrepetitions = 3\nseeds = 1 2\n")
 
-    def test_rho_bounds_out_of_range_rejected(self, mini_path):
-        with pytest.raises(ValueError, match="rho_range"):
-            parse_config(f"instances = {mini_path}\nrho_range = 0.5 1.5\n")
-
     @pytest.mark.parametrize(
         "line",
         [
+            "beta_range = 0 8",
+            "q0_range = 0.5 1",
             "delta_range = 0.8 1.5",
             "rho_range = -0.5 0.2",
             "beta_range = -3 -1",
             "gamma_range = 4 2",
             "beta_range = a b",
-            # ten ants' positions sum past the largest float
             "gamma_range = 0 1e308",
             "beta_range = 0 1e308",
         ],
     )
     def test_range_error_names_the_key(self, mini_path, line):
+        # the firefly box is fixed: a range key is unknown whatever its value
         key = line.split()[0]
-        with pytest.raises(ValueError, match=f"^{key}: "):
+        with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
             parse_config(f"instances = {mini_path}\n{line}\n")
+
+    def test_box_is_not_a_setting(self, mini_path):
+        with pytest.raises(TypeError):
+            ExperimentConfig(instances=(str(mini_path),), bounds=ParamBounds())
+        config = ExperimentConfig(instances=(str(mini_path),), ants=3)
+        assert HybridConfig.bounds == config.bounds == ParamBounds()
+        assert config.hybrid.bounds is HybridConfig.bounds
 
     @pytest.mark.parametrize(
         "key, value",
@@ -220,14 +222,6 @@ output_dir = results
         with pytest.raises(ValueError, match="^unknown config key 'fa_alpha0'$"):
             parse_config(f"instances = {mini_path}\nfa_alpha0 = 2.3\n")
 
-    def test_box_whose_mean_overflows_names_the_range_key(self, mini_path):
-        box = ParamBounds(gamma=(0.0, 1e308))
-        message = "gamma_range: gamma bounds: m = 10 times high = 1e+308 overflows the trace's mean"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig(instances=(str(mini_path),), bounds=box)
-        # fewer ants keep the same box's means finite
-        assert ExperimentConfig(instances=(str(mini_path),), bounds=box, ants=1).hybrid.bounds == box
-
     def test_missing_instance_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
             parse_config("instances = nowhere.tsp\n", base_dir=tmp_path)
@@ -280,6 +274,11 @@ output_dir = results
         kwargs[key] = kwargs[key][0]
         with pytest.raises(ValueError, match=f"^{key}: expected a sequence of strings, got the string "):
             ExperimentConfig(**kwargs)
+
+    def test_seeds_and_base_seed_together_rejected(self, mini_path):
+        # seeds would override base_seed, which the config would then ignore
+        with pytest.raises(ValueError, match="^seeds, base_seed: set one of the two keys, not both$"):
+            parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 7, 8\nbase_seed = 5\n")
 
     def test_seed_for(self, mini_path):
         config = parse_config(f"instances = {mini_path}\nbase_seed = 100\n")
@@ -515,8 +514,22 @@ class TestExport:
         later = export(run_experiment(mini_config), out)
         assert not {"best_matrix.csv", "failures.txt"} & {p.name for p in later}
         on_disk = {p.name for p in out.rglob("*") if p.is_file()}
-        # only the two optional files go; runs and traces of the first export stay
-        assert on_disk == (earlier | {p.name for p in later}) - {"best_matrix.csv", "failures.txt"}
+        # the runs and traces of the first export go too
+        assert on_disk == {p.name for p in later}
+
+    def test_second_export_leaves_only_its_own_runs_and_traces(self, mini_path, tmp_path):
+        out = tmp_path / "shared"
+        config = ExperimentConfig(instances=(str(mini_path),), repetitions=2, iterations=2, ants=2, seeds=(0, 1))
+        export(run_experiment(config), out)
+        later = export(run_experiment(replace(config, seeds=(5, 6))), out)
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            f"{algo}__mini5__seed{seed}.txt" for algo in ("acs", "acsfa") for seed in (5, 6)
+        ]
+        assert sorted(p.name for p in (out / "traces").iterdir()) == [
+            "acsfa__mini5__seed5_params.csv",
+            "acsfa__mini5__seed6_params.csv",
+        ]
+        assert {p for p in out.rglob("*") if p.is_file()} == set(later)
 
 
 def test_known_optima_metadata():
