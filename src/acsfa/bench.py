@@ -1,9 +1,9 @@
 """Experiment orchestration: seeded repeated runs, aggregation, export.
 
 A config names instances and algorithms; every (algorithm, instance,
-repetition) triple gets its own seed (explicit list or base seed + run
-index), so whole experiments replay bit-identically. Timing is measured
-inside the solvers, never around file I/O.
+repetition) triple gets its own seed (base seed + run index), so whole
+experiments replay bit-identically. Timing is measured inside the solvers,
+never around file I/O.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ KNOWN_OPTIMA = {
 _SOLVER_KEYS = (
     ("iterations", HybridConfig, "iterations"),
     ("ants", AcsParams, "m"),
-    ("acs_beta", AcsParams, "beta"),
-    ("acs_rho", AcsParams, "rho"),
-    ("acs_q0", AcsParams, "q0"),
-    ("alpha", AcsParams, "alpha"),
 )
 
 
@@ -67,11 +63,6 @@ class ExperimentConfig:
     iterations: int = HybridConfig.iterations
     ants: int = AcsParams.m
     base_seed: int = 0
-    seeds: tuple[int, ...] | None = None
-    acs_beta: float = AcsParams.beta
-    acs_rho: float = AcsParams.rho
-    acs_q0: float = AcsParams.q0
-    alpha: float = AcsParams.alpha
     output_dir: str = "acsfa-out"
     acs: AcsParams = field(init=False)
     hybrid: HybridConfig = field(init=False)
@@ -95,37 +86,22 @@ class ExperimentConfig:
         for key in ("repetitions", "base_seed"):
             if not is_integer(getattr(self, key)):
                 raise ValueError(f"{key}: must be an integer, got {getattr(self, key)!r}")
+            object.__setattr__(self, key, int(getattr(self, key)))  # base_seed + k must not wrap
         if self.repetitions < 1:
             raise ValueError(f"repetitions: must be >= 1, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
-        if self.seeds is not None:
-            odd = next((s for s in self.seeds if not is_integer(s)), None)
-            if odd is not None:
-                raise ValueError(f"seeds: seed {odd!r} is not an integer")
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-            if len(self.seeds) != self.repetitions:
-                raise ValueError(
-                    f"seeds: got {len(self.seeds)} seeds for {self.repetitions} repetitions"
-                )
-            if min(self.seeds) < 0:
-                raise ValueError(f"seeds: must be >= 0, got {min(self.seeds)}")
-            repeated = next((s for k, s in enumerate(self.seeds) if s in self.seeds[:k]), None)
-            if repeated is not None:
-                raise ValueError(f"seeds: seed {repeated} is repeated")
+        if not self.output_dir:  # it would resolve to the working directory, whose runs/ export sweeps
+            raise ValueError("output_dir: must name a directory, got an empty value")
         for key, owner, name in _SOLVER_KEYS:
             try:
                 owner(**{name: getattr(self, key)})
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        acs = AcsParams(beta=self.acs_beta, rho=self.acs_rho, q0=self.acs_q0, alpha=self.alpha, m=self.ants)
-        hybrid = HybridConfig(iterations=self.iterations, m=self.ants, alpha=self.alpha)
-        object.__setattr__(self, "acs", acs)
-        object.__setattr__(self, "hybrid", hybrid)
+        object.__setattr__(self, "acs", AcsParams(m=self.ants))
+        object.__setattr__(self, "hybrid", HybridConfig(iterations=self.iterations, m=self.ants))
 
     def seed_for(self, repetition: int) -> int:
-        if self.seeds is not None:
-            return self.seeds[repetition]
         return self.base_seed + repetition
 
 
@@ -163,7 +139,6 @@ class ExperimentResult:
 
 
 _INT_KEYS = ("repetitions", "iterations", "ants", "base_seed")
-_FLOAT_KEYS = ("acs_beta", "acs_rho", "acs_q0", "alpha")
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -182,8 +157,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    if "seeds" in raw and "base_seed" in raw:  # seeds would override base_seed
-        raise ValueError("seeds, base_seed: set one of the two keys, not both")
     kwargs: dict = {}
     for key, value in raw.items():
         if key == "instances":
@@ -191,23 +164,13 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             kwargs["instances"] = tuple(str((base_dir / p)) for p in paths)
         elif key == "algorithms":
             kwargs["algorithms"] = tuple(a.strip() for a in value.split(",") if a.strip())
-        elif key == "seeds":
-            try:
-                kwargs["seeds"] = tuple(int(s) for s in value.replace(",", " ").split())
-            except ValueError:
-                raise ValueError(f"seeds: expected integers, got {value!r}") from None
         elif key == "output_dir":
-            kwargs["output_dir"] = str(base_dir / value)
+            kwargs["output_dir"] = str(base_dir / value) if value else ""  # ExperimentConfig rejects ''
         elif key in _INT_KEYS:
             try:
                 kwargs[key] = int(value)
             except ValueError:
                 raise ValueError(f"{key}: expected an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ValueError(f"{key}: expected a number, got {value!r}") from None
         else:
             raise ValueError(f"unknown config key {key!r}")
 
@@ -366,8 +329,6 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
     summary_path.write_text(format_summary(result.summaries))
     written.append(summary_path)
 
-    for optional in ("best_matrix.csv", "failures.txt"):  # an earlier export's, unless rewritten below
-        (out / optional).unlink(missing_ok=True)
     if len({s.algorithm for s in result.summaries}) >= 2 and len(
         {s.instance for s in result.summaries}
     ) >= 2:
@@ -397,10 +358,12 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
         )
         written.append(failures_path)
 
+    # an earlier export's files, unless rewritten above
     kept = set(written)
-    for folder in (runs_dir, out / "traces"):  # an earlier export's files, unless rewritten above
-        if folder.is_dir():
-            for path in folder.iterdir():
-                if path.is_file() and path not in kept:
-                    path.unlink()
+    stale = [out / "best_matrix.csv", out / "failures.txt", *runs_dir.iterdir()]
+    if (out / "traces").is_dir():
+        stale += (out / "traces").iterdir()
+    for path in stale:
+        if path.is_file() and path not in kept:
+            path.unlink()
     return written

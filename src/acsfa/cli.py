@@ -25,7 +25,7 @@ def _load_instance(path: str):
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
-        instances=(args.instance,), algorithms=(args.algo,), repetitions=1, seeds=(args.seed,),
+        instances=(args.instance,), algorithms=(args.algo,), repetitions=1, base_seed=args.seed,
         iterations=args.iterations, ants=args.ants,
     )
     result = run_experiment(config)

@@ -45,23 +45,23 @@ _FIRST_KICK = 2.3  # the kick size alpha starts at, in range widths
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Settings for a hybrid run; ``m`` and ``alpha`` defer to :class:`AcsParams`.
+    """Settings for a hybrid run; ``m`` defers to :class:`AcsParams`.
 
     The firefly box is the class constant ``bounds``, not a setting: the
-    hybrid tunes its parameters within the same fixed box on every run.
+    hybrid tunes its parameters within the same fixed box on every run. The
+    global update's evaporation is ``AcsParams.alpha``, not a setting either.
     """
 
     bounds = ParamBounds()
     iterations: int = 1000
     m: int = AcsParams.m
-    alpha: float = AcsParams.alpha
 
     def __post_init__(self) -> None:
         if not is_integer(self.iterations):
             raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        AcsParams(m=self.m, alpha=self.alpha)  # their owner checks m and alpha
+        AcsParams(m=self.m)  # its owner checks m
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +145,7 @@ def run_acsfa(
     light = [0.0] * m
 
     brightest = 0
-    for it, (best, records) in zip(range(config.iterations), colony(inst, rng, config.alpha, ants)):
+    for it, (best, records) in zip(range(config.iterations), colony(inst, rng, AcsParams.alpha, ants)):
         for k, length in records:
             light[k] = 1.0 / max(length, 1)  # zero-length tours only on degenerate data
         pop = sweep(pop, light, alpha, config.bounds, rng)

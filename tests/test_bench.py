@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -84,14 +83,13 @@ class TestConfigParsing:
         assert config.bounds.q0 == (0.5, 1.0)
         assert config.bounds.gamma == (0.0, 10.0)
         assert config.bounds.delta == (0.8, 1.0)
-        assert config.alpha == 0.1
         assert config.acs == AcsParams()
         assert config.hybrid == HybridConfig()
 
     def test_solver_settings_follow_the_fields(self, mini_path):
-        config = ExperimentConfig(instances=(str(mini_path),), iterations=7, ants=3, acs_q0=0.5, alpha=0.2)
-        assert config.acs == AcsParams(q0=0.5, alpha=0.2, m=3)
-        assert config.hybrid == HybridConfig(iterations=7, m=3, alpha=0.2)
+        config = ExperimentConfig(instances=(str(mini_path),), iterations=7, ants=3)
+        assert config.acs == AcsParams(m=3)
+        assert config.hybrid == HybridConfig(iterations=7, m=3)
         # replace() runs __post_init__ again, so the derived settings follow
         changed = replace(config, ants=5)
         assert changed.acs.m == changed.hybrid.m == 5
@@ -106,23 +104,20 @@ algorithms = acs
 repetitions = 4
 iterations = 25
 ants = 6
-seeds = 1, 2, 3, 4
-acs_q0 = 0.5
+base_seed = 3
 output_dir = results
 """
         config = parse_config(text, base_dir=mini_path.parent)
         assert config.repetitions == 4
-        assert config.seeds == (1, 2, 3, 4)
-        assert config.acs_q0 == 0.5
+        assert config.iterations == 25
+        assert config.ants == 6
+        assert config.base_seed == 3
+        assert config.output_dir == str(mini_path.parent / "results")
         assert config.algorithms == ("acs",)
 
     def test_zero_repetitions_rejected(self, mini_path):
         with pytest.raises(ValueError, match="repetitions"):
             parse_config(f"instances = {mini_path}\nrepetitions = 0\n")
-
-    def test_seed_count_mismatch_rejected(self, mini_path):
-        with pytest.raises(ValueError, match="seeds"):
-            parse_config(f"instances = {mini_path}\nrepetitions = 3\nseeds = 1 2\n")
 
     @pytest.mark.parametrize(
         "line",
@@ -151,24 +146,30 @@ output_dir = results
         assert HybridConfig.bounds == config.bounds == ParamBounds()
         assert config.hybrid.bounds is HybridConfig.bounds
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("acs_beta", "nan"), ("acs_beta", "inf")],
-    )
-    def test_non_finite_value_rejected(self, mini_path, key, value):
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            parse_config(f"instances = {mini_path}\n{key} = {value}\n")
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            ExperimentConfig(instances=(str(mini_path),), **{key: float(value)})
+    @pytest.mark.parametrize("key", ["seeds", "acs_beta", "acs_rho", "acs_q0", "alpha"])
+    def test_retired_key_is_unknown(self, mini_path, key):
+        # seeds duplicated base_seed, and the ACS parameters are not settings:
+        # each key fails up front, whatever its value, and no config has a field for it
+        with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+            parse_config(f"instances = {mini_path}\n{key} = 1\n")
+        with pytest.raises(TypeError):
+            ExperimentConfig(instances=(str(mini_path),), **{key: 1})
+        with pytest.raises(TypeError):
+            HybridConfig(**{key: 1})
+
+    def test_empty_output_dir_rejected(self, mini_path):
+        # it would resolve to the config's own folder, and export would then
+        # delete every file under that folder's runs/ that it did not write
+        with pytest.raises(ValueError, match="^output_dir: "):
+            parse_config(f"instances = {mini_path}\noutput_dir =\n", base_dir=mini_path.parent)
+        with pytest.raises(ValueError, match="^output_dir: "):
+            ExperimentConfig(instances=(str(mini_path),), output_dir="")
 
     @pytest.mark.parametrize(
         "key, value",
         [
             ("iterations", -1),
             ("ants", 0),
-            ("acs_rho", 1),
-            ("acs_q0", 1.5),
-            ("alpha", 0),
             ("iterations", 2.5),
             ("ants", 2.5),
             ("repetitions", 2.5),
@@ -207,11 +208,12 @@ output_dir = results
             repetitions=np.int32(2),
             iterations=np.int64(2),
             ants=np.int64(2),
-            seeds=(np.int64(5), np.uint8(6)),
+            base_seed=np.uint8(255),
             output_dir=str(tmp_path / "o"),
         )
-        assert config.seeds == (5, 6)
-        assert [r.seed for r in run_experiment(config).records] == [5, 6, 5, 6]
+        # the second seed is 256, not the 0 that uint8 arithmetic would wrap to
+        assert [config.seed_for(i) for i in range(2)] == [255, 256]
+        assert [r.seed for r in run_experiment(config).records] == [255, 256, 255, 256]
         assert ExperimentConfig(instances=(str(mini_path),), base_seed=np.int64(3)).seed_for(1) == 4
 
     def test_unknown_key_rejected(self, mini_path):
@@ -232,40 +234,13 @@ output_dir = results
         config = load_config(config_path)
         assert config.instances == (str(mini_path),)
 
-    @pytest.mark.parametrize(
-        "key, line, kwargs",
-        [
-            ("base_seed", "base_seed = -1", {"base_seed": -1}),
-            ("seeds", "repetitions = 2\nseeds = 1, -2", {"repetitions": 2, "seeds": (1, -2)}),
-        ],
-        ids=["base_seed", "seeds"],
-    )
-    def test_negative_seed_rejected(self, mini_path, key, line, kwargs):
+    def test_negative_seed_rejected(self, mini_path):
         # numpy rejects a negative seed only when its cell runs, after the
         # earlier cells have spent their compute
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            parse_config(f"instances = {mini_path}\n{line}\n")
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            ExperimentConfig(instances=(str(mini_path),), **kwargs)
-
-    def test_repeated_seed_rejected(self, mini_path):
-        # a repeated seed replays the same run: export would overwrite its
-        # run file and the summary would average identical runs
-        with pytest.raises(ValueError, match="^seeds: seed 4 is repeated"):
-            ExperimentConfig(instances=(str(mini_path),), repetitions=3, seeds=(4, 9, 4))
-        config_path = mini_path.parent / "exp.cfg"
-        config_path.write_text(f"instances = {mini_path.name}\nrepetitions = 2\nseeds = 1, 1\n")
-        with pytest.raises(ValueError, match="^seeds: seed 1 is repeated"):
-            load_config(config_path)
-
-    def test_non_integer_seed_names_the_key(self, mini_path):
-        with pytest.raises(ValueError, match="^seeds: "):
-            parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 1 x\n")
-        # int() would truncate these to the seeds 0 and 1
-        with pytest.raises(ValueError, match="^seeds: seed 0.5 is not an integer"):
-            ExperimentConfig(instances=(str(mini_path),), repetitions=2, seeds=(0.5, 1.7))
-        with pytest.raises(ValueError, match="^seeds: seed True is not an integer"):
-            ExperimentConfig(instances=(str(mini_path),), repetitions=2, seeds=(True, 2))
+        with pytest.raises(ValueError, match="^base_seed: "):
+            parse_config(f"instances = {mini_path}\nbase_seed = -1\n")
+        with pytest.raises(ValueError, match="^base_seed: "):
+            ExperimentConfig(instances=(str(mini_path),), base_seed=-1)
 
     @pytest.mark.parametrize("key", ["instances", "algorithms"])
     def test_string_for_a_sequence_rejected(self, mini_path, key):
@@ -275,16 +250,9 @@ output_dir = results
         with pytest.raises(ValueError, match=f"^{key}: expected a sequence of strings, got the string "):
             ExperimentConfig(**kwargs)
 
-    def test_seeds_and_base_seed_together_rejected(self, mini_path):
-        # seeds would override base_seed, which the config would then ignore
-        with pytest.raises(ValueError, match="^seeds, base_seed: set one of the two keys, not both$"):
-            parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 7, 8\nbase_seed = 5\n")
-
     def test_seed_for(self, mini_path):
         config = parse_config(f"instances = {mini_path}\nbase_seed = 100\n")
         assert [config.seed_for(i) for i in range(3)] == [100, 101, 102]
-        config = parse_config(f"instances = {mini_path}\nrepetitions = 2\nseeds = 9 4\n")
-        assert [config.seed_for(i) for i in range(2)] == [9, 4]
 
 
 class TestSummaryInvariants:
@@ -519,9 +487,9 @@ class TestExport:
 
     def test_second_export_leaves_only_its_own_runs_and_traces(self, mini_path, tmp_path):
         out = tmp_path / "shared"
-        config = ExperimentConfig(instances=(str(mini_path),), repetitions=2, iterations=2, ants=2, seeds=(0, 1))
+        config = ExperimentConfig(instances=(str(mini_path),), repetitions=2, iterations=2, ants=2, base_seed=0)
         export(run_experiment(config), out)
-        later = export(run_experiment(replace(config, seeds=(5, 6))), out)
+        later = export(run_experiment(replace(config, base_seed=5)), out)
         assert sorted(p.name for p in (out / "runs").iterdir()) == [
             f"{algo}__mini5__seed{seed}.txt" for algo in ("acs", "acsfa") for seed in (5, 6)
         ]
@@ -539,10 +507,13 @@ def test_known_optima_metadata():
 
 
 def test_readme_config_shows_the_defaults():
-    # the README's commented overrides say they show the defaults: setting
-    # them must give the same config as leaving them out
+    # the README's block sets every config key; all but instances and
+    # output_dir show their defaults, so leaving those out gives the same config
     root = Path(__file__).resolve().parents[1]
     block = (root / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
-    overridden, count = re.subn(r"(?m)^# (?=\w+ = )", "", block)
-    assert count > 0
-    assert parse_config(overridden, base_dir=root) == parse_config(block, base_dir=root)
+    lines = [line for line in block.splitlines() if line.split("#", 1)[0].strip()]
+    assert [line.split("=", 1)[0].strip() for line in lines] == [
+        "instances", "algorithms", "repetitions", "iterations", "ants", "base_seed", "output_dir"
+    ]
+    required = "\n".join(line for line in lines if line.startswith(("instances", "output_dir")))
+    assert parse_config(block, base_dir=root) == parse_config(required, base_dir=root)

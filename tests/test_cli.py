@@ -91,6 +91,15 @@ class TestSolve:
         assert captured.out == ""
         assert "error: ants: " in captured.err
 
+    def test_negative_seed_fails_before_any_cell(self, mini_path, monkeypatch, capsys):
+        cells = []
+        monkeypatch.setattr("acsfa.bench.run_acsfa", lambda *args: cells.append(args))
+        assert main(["solve", str(mini_path), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: base_seed: " in captured.err
+        assert cells == []
+
     def test_deterministic_given_seed(self, mini_path, capsys):
         main(["solve", str(mini_path), "--algo", "acs", "--iterations", "6", "--seed", "11"])
         first = capsys.readouterr().out
@@ -227,11 +236,26 @@ class TestBench:
         config = tmp_path / "exp.cfg"
         config.write_text(
             f"instances = {mini_path.name}\nrepetitions = 2\niterations = 1\n"
-            "seeds = 1, -2\noutput_dir = out\n"
+            "base_seed = -1\noutput_dir = out\n"
         )
         assert main(["bench", str(config)]) == 2
-        assert "seeds: " in capsys.readouterr().err
+        assert "base_seed: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_output_dir_fails_before_any_cell(self, mini_path, tmp_path, capsys):
+        # an empty output_dir would resolve to the config's folder, and export
+        # would delete the files under its runs/ that it did not write
+        notes = tmp_path / "runs" / "notes.txt"
+        notes.parent.mkdir()
+        notes.write_text("keep me\n")
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"instances = {mini_path.name}\nrepetitions = 1\niterations = 1\noutput_dir =\n")
+        assert main(["bench", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: output_dir: " in captured.err
+        assert notes.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["exp.cfg", "mini5.tsp", "notes.txt", "runs"]
 
     def test_all_instances_failing_is_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsp"

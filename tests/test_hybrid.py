@@ -118,7 +118,6 @@ class TestConfig:
         config = HybridConfig()
         assert config.iterations == 1000
         assert config.m == 10
-        assert config.alpha == 0.1
         assert acsfa.hybrid._FIRST_KICK == 2.3  # fixed, not a setting
 
     @pytest.mark.parametrize(
@@ -126,8 +125,8 @@ class TestConfig:
         [
             {"iterations": -1},
             {"m": 0},
-            {"alpha": 0.0},
-            {"alpha": 1.0},
+            {"m": -1},
+            {"m": True},  # m is checked by AcsParams, bool included
             {"iterations": 2.5},
             {"m": 2.5},
             {"iterations": True},  # bool is an Integral
