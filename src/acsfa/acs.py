@@ -92,7 +92,8 @@ def nearest_neighbor_tour(inst: TspInstance, start: int = 0) -> Tour:
         r = int((d[r] + penalty).argmin())
         order[k] = r
         penalty[r] = 2**62
-    return Tour(order=tuple(int(c) for c in order), length=tour_length(inst, order))
+    labels = inst._labels
+    return Tour(order=tuple(labels[c] for c in order.tolist()), length=tour_length(inst, order))
 
 
 def compute_tau0(inst: TspInstance) -> float:
@@ -264,14 +265,15 @@ def construct_tour(
     avail = np.empty(n)
     avail.fill(1.0)
     avail[start] = 0.0
-    order = [start]
+    labels = inst._labels  # the instance's own ints: tours share them
+    order = [labels[start]]
     # rng.random(k) gives the doubles of k scalar calls
     draw = chain.from_iterable(iter(lambda: rng.random(n - len(order)).tolist(), None)).__next__
     r = start
     for _ in range(n - 1):
         s = _choose(weights[r] * avail, avail, q0, draw)
         avail[s] = 0.0
-        order.append(s)
+        order.append(labels[s])
         r = s
 
     closed = np.array(order + [start], dtype=np.intp)

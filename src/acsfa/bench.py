@@ -39,6 +39,10 @@ KNOWN_OPTIMA = {
 }
 
 
+# an empty output_dir is the working directory, whose runs/ and traces/
+# export would sweep of every file it did not write
+_EMPTY_OUTPUT_DIR = "output_dir: must name a directory, got an empty value"
+
 # config key, the class that owns its default and range check, and its field there
 _SOLVER_KEYS = (
     ("iterations", HybridConfig, "iterations"),
@@ -91,8 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"repetitions: must be >= 1, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
-        if not self.output_dir:  # it would resolve to the working directory, whose runs/ export sweeps
-            raise ValueError("output_dir: must name a directory, got an empty value")
+        if not self.output_dir:
+            raise ValueError(_EMPTY_OUTPUT_DIR)
         for key, owner, name in _SOLVER_KEYS:
             try:
                 owner(**{name: getattr(self, key)})
@@ -320,8 +324,16 @@ def best_length_matrix(result: ExperimentResult) -> ResponseMatrix:
 
 
 def export(result: ExperimentResult, output_dir: str | Path | None = None) -> list[Path]:
-    """Write summary, per-run records, parameter traces and the best matrix."""
-    out = Path(output_dir if output_dir is not None else result.config.output_dir)
+    """Write summary, per-run records, parameter traces and the best matrix.
+
+    ``output_dir`` defaults to the config's; an empty one is rejected before
+    anything is written or removed.
+    """
+    if output_dir is None:
+        output_dir = result.config.output_dir
+    elif not output_dir:
+        raise ValueError(_EMPTY_OUTPUT_DIR)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 

@@ -103,6 +103,9 @@ class TspInstance:
     # is shown only as the read-only ``dist`` and nothing writes it
     _owner: np.ndarray = field(init=False, repr=False)
     _dist: np.ndarray = field(init=False, repr=False)
+    # the city labels 0..n-1 that every tour on the instance holds, so tours
+    # share one int object per city rather than each making its own above 256
+    _labels: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.dimension
@@ -149,10 +152,12 @@ class TspInstance:
             object.__setattr__(self, "weights", dist)
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "_labels", tuple(range(n)))
 
     def __reduce__(self):
         # pickle the inputs: the owner and its views would each be pickled
-        # whole, and unpickled apart; building again restores one matrix
+        # whole, and unpickled apart; building again restores one matrix and
+        # the labels
         return (type(self), (self.name, self.dimension, self.metric, self.coords, self.weights))
 
     @property

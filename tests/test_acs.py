@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from itertools import islice
 
@@ -25,6 +26,7 @@ from acsfa.acs import (
 )
 from acsfa.exact import brute_force
 from acsfa.firefly import ParamBounds
+from acsfa.hybrid import HybridConfig, run_acsfa
 from acsfa.tsplib import Tour, TspInstance, tour_length
 from conftest import random_euclidean
 
@@ -532,6 +534,58 @@ class TestColony:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak < 2.5 * n * n * 8
+
+
+def same_ints(a: Tour, b: Tour) -> bool:
+    """Whether two tours hold the very same int object for every city."""
+    return all(x is y for x, y in zip(sorted(a.order), sorted(b.order), strict=True))
+
+
+class TestSharedLabels:
+    # n = 300 lies above 256, the top of CPython's small-int cache: a label
+    # made by int() there is a new object, one taken from the instance is not
+
+    def test_numpy_start_gives_python_ints(self, eil51):
+        eta_pow, ant = ant_settings(eil51)
+        tau = init_pheromone(51, ant["tau0"])
+        tour = construct_tour(eil51, tau, np.random.default_rng(0), np.int64(5), weights=tau * eta_pow, **ant)
+        assert tour.order[0] == 5
+        assert all(type(c) is int for c in tour.order)
+
+    def test_tours_of_two_seeds_share_their_ints(self):
+        inst = random_euclidean(300, np.random.default_rng(0))
+        acs = [run_acs(inst, AcsParams(m=2), 2, np.random.default_rng(seed)).best_tour for seed in (0, 1)]
+        config = HybridConfig(iterations=2, m=2)
+        hybrid = [run_acsfa(inst, config, np.random.default_rng(seed))[0].best_tour for seed in (0, 1)]
+        greedy = nearest_neighbor_tour(inst, 7)
+        assert acs[0].order != acs[1].order
+        for tour in acs[1:] + hybrid + [greedy]:
+            assert same_ints(acs[0], tour)
+
+    def test_a_pickled_instance_shares_its_own_labels(self):
+        inst = pickle.loads(pickle.dumps(random_euclidean(300, np.random.default_rng(0))))
+        a, b = (run_acs(inst, AcsParams(m=2), 2, np.random.default_rng(seed)).best_tour for seed in (0, 1))
+        assert same_ints(a, b)
+        assert same_ints(a, nearest_neighbor_tour(inst))
+
+    def test_a_kept_record_costs_8_bytes_per_city(self):
+        # the order tuple's 8 bytes per city plus a few small objects; ints of
+        # its own would add ~28 bytes for each city above 256
+        n, kept = 1000, 8
+        inst = random_euclidean(n, np.random.default_rng(0))
+        records = []
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            # the first run fills the interpreter's and numpy's free lists
+            records.append(run_acs(inst, AcsParams(m=1), 1, np.random.default_rng(0)))
+            before = tracemalloc.get_traced_memory()[0]
+            records += [run_acs(inst, AcsParams(m=1), 1, np.random.default_rng(s)) for s in range(1, kept + 1)]
+            per_record = (tracemalloc.get_traced_memory()[0] - before) / kept
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert 8 * n < per_record < 10 * n
 
 
 class TestRunAcs:

@@ -499,6 +499,16 @@ class TestExport:
         ]
         assert {p for p in out.rglob("*") if p.is_file()} == set(later)
 
+    def test_empty_output_dir_rejected_before_any_sweep(self, mini_config, tmp_path, monkeypatch):
+        result = run_experiment(mini_config)
+        cwd = tmp_path / "cwd"
+        (cwd / "runs").mkdir(parents=True)
+        (cwd / "runs" / "notes.txt").write_text("kept")
+        monkeypatch.chdir(cwd)
+        with pytest.raises(ValueError, match="^output_dir: must name a directory, got an empty value$"):
+            export(result, "")
+        assert {p.relative_to(cwd).as_posix() for p in cwd.rglob("*")} == {"runs", "runs/notes.txt"}
+
 
 def test_known_optima_metadata():
     assert KNOWN_OPTIMA["ulysses16"] == 6859
