@@ -22,20 +22,10 @@ from .tsplib import TsplibParseError, parse_instance
 
 ALGORITHMS = ("acs", "acsfa")
 
-# Best known optimal tour lengths for the classic symmetric instances.
+# Optimal tour lengths of the TSPLIB instances shipped under tests/data.
 KNOWN_OPTIMA = {
     "ulysses16": 6859,
-    "bays29": 2020,
-    "oliver30": 420,
     "eil51": 426,
-    "pr76": 108159,
-    "kroa100": 21282,
-    "lin105": 14379,
-    "tsp225": 3916,
-    "gil262": 2378,
-    "lin318": 42029,
-    "rat575": 6773,
-    "rat783": 8806,
 }
 
 

@@ -37,9 +37,6 @@ from .acs import AcsParams, RunRecord, _record, colony, is_integer
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
 from .tsplib import Tour, TspInstance
 
-# Iterations per block of populations reduced into the trace at once: the
-# buffer holds 40 * m bytes per iteration, bounded by the block, not the run.
-_TRACE_BLOCK = 64
 _FIRST_KICK = 2.3  # the kick size alpha starts at, in range widths
 
 
@@ -79,20 +76,6 @@ class ParameterTrace:
 
     def __len__(self) -> int:
         return self.means.shape[0]
-
-    @classmethod
-    def _empty(cls, iterations: int) -> "ParameterTrace":
-        # a trace of ``iterations`` rows, to be filled by _reduce
-        return cls(*(np.empty((iterations, len(PARAM_NAMES))) for _ in range(3)))
-
-    def _reduce(self, start: int, positions: np.ndarray) -> None:
-        # fill the rows from ``start`` on from ``positions``, shaped
-        # (iterations, m, dims): each row reduces one iteration's population,
-        # as mean/min/max over axis 0 of that iteration's (m, dims) array would
-        rows = slice(start, start + len(positions))
-        positions.mean(axis=1, out=self.means[rows])
-        positions.min(axis=1, out=self.mins[rows])
-        positions.max(axis=1, out=self.maxs[rows])
 
 
 def local_decay(rho: float, m: int) -> float:
@@ -137,9 +120,7 @@ def run_acsfa(
         for v in pop:
             yield v.beta, v.q0, local_decay(v.rho, m)
 
-    params = ParameterTrace._empty(config.iterations)
-    # populations are reduced a block of iterations at a time
-    block = np.empty((min(config.iterations, _TRACE_BLOCK), m, len(PARAM_NAMES)))
+    params = ParameterTrace(*(np.empty((config.iterations, len(PARAM_NAMES))) for _ in range(3)))
     best: Tour | None = None
     trace: list[int] = []
     light = [0.0] * m
@@ -151,10 +132,10 @@ def run_acsfa(
         pop = sweep(pop, light, alpha, config.bounds, rng)
         brightest = light.index(max(light))  # the brightest firefly never moved
         alpha = reduce_alpha(alpha, pop[brightest].delta)
-        k = it % _TRACE_BLOCK
-        block[k] = pop
-        if k + 1 == len(block) or it + 1 == config.iterations:
-            params._reduce(it - k, block[: k + 1])
+        positions = np.array(pop)
+        positions.mean(axis=0, out=params.means[it])
+        positions.min(axis=0, out=params.mins[it])
+        positions.max(axis=0, out=params.maxs[it])
         trace.append(best.length)
 
     best_params = pop[brightest] if config.iterations > 0 else None

@@ -464,7 +464,8 @@ def tukey_hsd(m: ResponseMatrix, confidence: float = 0.90) -> TukeyGrouping:
 
 def read_response_matrix(text: str) -> ResponseMatrix:
     """Parse a comma-separated table: header row of block labels, one row per treatment."""
-    rows = [line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    stripped = (line.strip() for line in text.splitlines())
+    rows = [line for line in stripped if line and not line.startswith("#")]
     if len(rows) < 3:
         raise ValueError("response matrix needs a header row and at least two treatment rows")
     header = [c.strip() for c in rows[0].split(",")]

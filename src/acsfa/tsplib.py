@@ -270,7 +270,18 @@ def parse_instance(text: str) -> TspInstance:
                 raise fail(i, "NODE_COORD_SECTION before DIMENSION")
             values, i = read_numbers(i + 1, 3 * dimension, "NODE_COORD_SECTION")
             rows = np.asarray(values).reshape(dimension, 3)
-            coords = rows[:, 1:3]
+            # each entry's id, not its place in the file, says which city it is
+            ids = rows[:, 0]
+            bad = ~((ids >= 1) & (ids <= dimension) & (ids == np.floor(ids)))
+            if bad.any():
+                raise TsplibParseError(
+                    f"NODE_COORD_SECTION: node id {ids[bad][0]:.15g} is not an integer in 1..{dimension}"
+                )
+            cities = ids.astype(np.intp) - 1
+            repeated = np.flatnonzero(np.bincount(cities) > 1)
+            if repeated.size:
+                raise TsplibParseError(f"NODE_COORD_SECTION: node id {repeated[0] + 1} appears more than once")
+            coords = rows[np.argsort(cities), 1:3]
             continue
         elif key == "EDGE_WEIGHT_SECTION":
             if dimension is None:

@@ -513,7 +513,7 @@ class TestExport:
 def test_known_optima_metadata():
     assert KNOWN_OPTIMA["ulysses16"] == 6859
     assert KNOWN_OPTIMA["eil51"] == 426
-    assert len(KNOWN_OPTIMA) == 12
+    assert len(KNOWN_OPTIMA) == 2
 
 
 def test_readme_config_shows_the_defaults():

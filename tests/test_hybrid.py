@@ -2,15 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import acsfa.acs
 import acsfa.hybrid
 from acsfa.acs import local_update
 from acsfa.firefly import PARAM_NAMES, ParamBounds
-from acsfa.hybrid import HybridConfig, ParameterTrace, init_population, local_decay, run_acsfa
+from acsfa.hybrid import HybridConfig, init_population, local_decay, run_acsfa
 from acsfa.tsplib import TspInstance, tour_length
 from conftest import random_euclidean
 
@@ -181,24 +178,11 @@ class TestRunAcsfa:
         assert np.all(trace.mins == trace.maxs)
         assert np.array_equal(record.best_params.as_array(), trace.means[0])
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        positions=st.tuples(st.integers(0, 40), st.integers(1, 32)).flatmap(
-            lambda shape: arrays(np.float64, shape + (len(PARAM_NAMES),), elements=st.floats(-1e6, 1e6))
-        )
-    )
-    def test_trace_reduced_once_matches_each_iteration(self, positions):
-        trace = ParameterTrace._empty(len(positions))
-        trace._reduce(0, positions)
-        assert trace.names == PARAM_NAMES and len(trace) == len(positions)
-        for it, pop in enumerate(positions):  # pop has the (m, 5) layout of one iteration's np.array(pop)
-            assert trace.means[it].tobytes() == pop.mean(axis=0).tobytes()
-            assert trace.mins[it].tobytes() == pop.min(axis=0).tobytes()
-            assert trace.maxs[it].tobytes() == pop.max(axis=0).tobytes()
-
-    @pytest.mark.parametrize("iterations", [63, 64, 65, 129])
-    def test_trace_reduced_by_block_matches_each_iteration(self, iterations, tiny3, monkeypatch):
-        # 64 iterations per block: one block, one full, a full and a partial, three
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("iterations", [0, 63, 64, 65, 129])
+    def test_trace_reduced_row_by_row_matches_each_iteration(self, iterations, m, tiny3, monkeypatch):
+        # each row is its own iteration's population reduced, bit for bit,
+        # on either side of 64 and 128 iterations as well
         pops = []
         real_sweep = acsfa.hybrid.sweep
 
@@ -208,7 +192,7 @@ class TestRunAcsfa:
             return pop
 
         monkeypatch.setattr(acsfa.hybrid, "sweep", spy)
-        _, trace = run_acsfa(tiny3, HybridConfig(iterations=iterations, m=3), np.random.default_rng(0))
+        _, trace = run_acsfa(tiny3, HybridConfig(iterations=iterations, m=m), np.random.default_rng(0))
         assert len(trace) == len(pops) == iterations
         for it, pop in enumerate(pops):
             assert trace.means[it].tobytes() == pop.mean(axis=0).tobytes()

@@ -68,6 +68,11 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match="row 'b', column 'y': cell 'zz' is not a number"):
             read_response_matrix("treatment,x,y\na,1,2\nb,3,zz\n")
 
+    def test_indented_comments_are_skipped(self):
+        m = read_response_matrix("# header note\ntreatment,x,y\n  # note\na,1,2\n\t# another\nb,3,4\n")
+        assert m.treatments == ("a", "b")
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_round_trip_text(self, errors):
         again = read_response_matrix(write_response_matrix(errors))
         assert again.treatments == errors.treatments

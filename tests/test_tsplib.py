@@ -73,6 +73,12 @@ class TestParse:
         with pytest.raises(TsplibParseError):
             parse_instance(text)
 
+    @pytest.mark.parametrize("dimension", [-1, 0])
+    def test_dimension_below_one_is_a_parse_error(self, dimension):
+        text = f"DIMENSION : {dimension}\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\nEOF\n"
+        with pytest.raises(TsplibParseError, match=f"dimension must be at least 3, got {dimension}"):
+            parse_instance(text)
+
     def test_unsupported_edge_weight_type_names_line(self):
         text = make_coord_file([(0, 0), (0, 1), (1, 0)], metric="ATT")
         with pytest.raises(TsplibParseError, match="EDGE_WEIGHT_TYPE"):
@@ -135,6 +141,33 @@ EOF
     def test_truncated_weight_section(self):
         text = "\n".join(EXPLICIT_FULL.splitlines()[:-3]) + "\nEOF\n"
         with pytest.raises(TsplibParseError, match="EDGE_WEIGHT_SECTION"):
+            parse_instance(text)
+
+
+class TestNodeIds:
+    def test_permuted_ids_give_the_sorted_files_distances(self, ulysses16):
+        head, _, rest = format_instance(ulysses16).partition("NODE_COORD_SECTION\n")
+        entries, _, tail = rest.partition("EOF")
+        lines = entries.splitlines()
+        shuffled = [lines[k] for k in np.random.default_rng(4).permutation(len(lines))]
+        assert shuffled != lines
+        inst = parse_instance(head + "NODE_COORD_SECTION\n" + "\n".join(shuffled) + "\nEOF" + tail)
+        assert np.array_equal(inst.coords, ulysses16.coords)
+        assert np.array_equal(inst.dist, ulysses16.dist)
+
+    @pytest.mark.parametrize(
+        "entries, bad",
+        [
+            (["3 0 0", "1 3 0", "1 0 4"], "node id 1 appears more than once"),
+            (["0 0 0", "2 3 0", "3 0 4"], "node id 0 is not an integer in 1..3"),
+            (["1 0 0", "2 3 0", "4 0 4"], "node id 4 is not an integer in 1..3"),
+            (["1 0 0", "2.5 3 0", "3 0 4"], "node id 2.5 is not an integer in 1..3"),
+        ],
+        ids=["repeated", "zero", "n+1", "fractional"],
+    )
+    def test_bad_ids_rejected(self, entries, bad):
+        text = "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n" + "\n".join(entries) + "\nEOF\n"
+        with pytest.raises(TsplibParseError, match=f"NODE_COORD_SECTION: {bad}"):
             parse_instance(text)
 
 
@@ -433,6 +466,7 @@ class TestRoundTrip:
     def test_format_parse_preserves_distances(self, fixture, request):
         inst = request.getfixturevalue(fixture)
         again = parse_instance(format_instance(inst))
+        assert np.array_equal(inst.coords, again.coords)
         assert np.array_equal(inst.dist, again.dist)
 
     def test_explicit_round_trip(self):
