@@ -31,27 +31,19 @@ def is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class AcsParams:
-    """Settings of the fixed-parameter baseline solver.
+    """The fixed-parameter baseline solver's one setting, the ant count ``m``.
 
-    The base pheromone level tau0 is always derived from the instance (see
-    :func:`compute_tau0`).
+    beta, rho, q0 and the global evaporation alpha are class constants; tau0
+    is always derived from the instance (see :func:`compute_tau0`).
     """
 
-    beta: float = 2.0
-    rho: float = 0.1
-    q0: float = 0.85
-    alpha: float = 0.1
+    beta = 2.0
+    rho = 0.1
+    q0 = 0.85
+    alpha = 0.1
     m: int = 10
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not 0.0 <= self.q0 <= 1.0:
-            raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not is_integer(self.m):
             raise ValueError(f"ant count m must be an integer, got {self.m!r}")
         if self.m < 1:

@@ -33,12 +33,6 @@ KNOWN_OPTIMA = {
 # export would sweep of every file it did not write
 _EMPTY_OUTPUT_DIR = "output_dir: must name a directory, got an empty value"
 
-# config key, the class that owns its default and range check, and its field there
-_SOLVER_KEYS = (
-    ("iterations", HybridConfig, "iterations"),
-    ("ants", AcsParams, "m"),
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -87,13 +81,15 @@ class ExperimentConfig:
             raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
         if not self.output_dir:
             raise ValueError(_EMPTY_OUTPUT_DIR)
-        for key, owner, name in _SOLVER_KEYS:
-            try:
-                owner(**{name: getattr(self, key)})
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        object.__setattr__(self, "acs", AcsParams(m=self.ants))
-        object.__setattr__(self, "hybrid", HybridConfig(iterations=self.iterations, m=self.ants))
+        # ants first: the hybrid checks m again, and its message must not carry the iterations key
+        try:
+            object.__setattr__(self, "acs", AcsParams(m=self.ants))
+        except ValueError as exc:
+            raise ValueError(f"ants: {exc}") from None
+        try:
+            object.__setattr__(self, "hybrid", HybridConfig(iterations=self.iterations, m=self.ants))
+        except ValueError as exc:
+            raise ValueError(f"iterations: {exc}") from None
 
     def seed_for(self, repetition: int) -> int:
         return self.base_seed + repetition
@@ -176,6 +172,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     missing = [p for p in config.instances if not Path(p).is_file()]
     if missing:
         raise ValueError(f"instances: file(s) not found: {', '.join(missing)}")
+    out = Path(config.output_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())  # export makes the rest
+    if not existing.is_dir():
+        raise ValueError(f"output_dir: {existing} exists and is not a directory")
     return config
 
 

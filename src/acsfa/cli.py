@@ -28,6 +28,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         instances=(args.instance,), algorithms=(args.algo,), repetitions=1, base_seed=args.seed,
         iterations=args.iterations, ants=args.ants,
     )
+    # the trace path is checked before the solve, whose result would otherwise be lost
+    if args.trace and not Path(args.trace).parent.is_dir():
+        raise FileNotFoundError(f"--trace: folder not found: {Path(args.trace).parent}")
+    if args.trace and Path(args.trace).is_dir():
+        raise IsADirectoryError(f"--trace: {args.trace} is a directory")
     result = run_experiment(config)
     if result.failures:
         raise ValueError(result.failures[0].error)

@@ -46,7 +46,7 @@ class HybridConfig:
 
     The firefly box is the class constant ``bounds``, not a setting: the
     hybrid tunes its parameters within the same fixed box on every run. The
-    global update's evaporation is ``AcsParams.alpha``, not a setting either.
+    global update's evaporation is the class constant ``AcsParams.alpha``.
     """
 
     bounds = ParamBounds()

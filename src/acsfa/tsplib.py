@@ -257,6 +257,8 @@ def parse_instance(text: str) -> TspInstance:
                 dimension = int(value)
             except ValueError:
                 raise fail(i, f"DIMENSION is not an integer: {value!r}") from None
+            if dimension < 3:  # the sections below read it as a count
+                raise fail(i, f"dimension must be at least 3, got {dimension}")
         elif key == "EDGE_WEIGHT_TYPE":
             metric = value.upper()
             if metric not in SUPPORTED_METRICS:

@@ -342,6 +342,26 @@ class TestRunExperiment:
         assert result.failures[0].path == str(bad)
         assert {s.instance for s in result.summaries} == {"mini5"}
 
+    def test_negative_dimension_skips_that_instance_only(self, mini_path, tmp_path):
+        bad = tmp_path / "negative.tsp"
+        bad.write_text(
+            "DIMENSION : -2\nEDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : FULL_MATRIX\n"
+            "EDGE_WEIGHT_SECTION\n0 1\n1 0\nEOF\n"
+        )
+        config = ExperimentConfig(
+            instances=(str(mini_path), str(bad)),
+            repetitions=2,
+            iterations=2,
+            ants=2,
+            output_dir=str(tmp_path / "o"),
+        )
+        result = run_experiment(config)
+        assert [f.path for f in result.failures] == [str(bad)]
+        assert "dimension must be at least 3, got -2" in result.failures[0].error
+        assert [(s.algorithm, s.instance) for s in result.summaries] == [("acs", "mini5"), ("acsfa", "mini5")]
+        export(result)
+        assert (tmp_path / "o" / "failures.txt").read_text().startswith(f"{bad}: ")
+
     def test_repeated_instance_name_is_skipped(self, mini_path, tmp_path):
         # runs, traces and the best matrix are keyed by instance name, so a
         # second file with the same NAME would overwrite the first's results

@@ -100,6 +100,17 @@ class TestSolve:
         assert "error: base_seed: " in captured.err
         assert cells == []
 
+    @pytest.mark.parametrize("trace", ["missing/t.csv", "."], ids=["missing folder", "directory"])
+    def test_unwritable_trace_fails_before_the_solve(self, mini_path, tmp_path, monkeypatch, capsys, trace):
+        cells = []
+        monkeypatch.setattr("acsfa.bench.run_acsfa", lambda *args: cells.append(args))
+        assert main(["solve", str(mini_path), "--iterations", "2", "--trace", str(tmp_path / trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --trace: " in captured.err
+        assert cells == []
+        assert not (tmp_path / "missing").exists()
+
     def test_deterministic_given_seed(self, mini_path, capsys):
         main(["solve", str(mini_path), "--algo", "acs", "--iterations", "6", "--seed", "11"])
         first = capsys.readouterr().out
@@ -256,6 +267,22 @@ class TestBench:
         assert "error: output_dir: " in captured.err
         assert notes.read_text() == "keep me\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["exp.cfg", "mini5.tsp", "notes.txt", "runs"]
+
+    @pytest.mark.parametrize("output_dir", ["taken", "taken/out"], ids=["a file", "below a file"])
+    def test_output_dir_on_a_file_fails_before_any_cell(self, mini_path, tmp_path, monkeypatch, capsys, output_dir):
+        # export would fail only after every cell had run
+        (tmp_path / "taken").write_text("keep me\n")
+        cells = []
+        monkeypatch.setattr("acsfa.bench.run_acs", lambda *args: cells.append(args))
+        monkeypatch.setattr("acsfa.bench.run_acsfa", lambda *args: cells.append(args))
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"instances = {mini_path.name}\nrepetitions = 2\niterations = 1\noutput_dir = {output_dir}\n")
+        assert main(["bench", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: output_dir: {tmp_path / 'taken'} exists and is not a directory" in captured.err
+        assert cells == []
+        assert (tmp_path / "taken").read_text() == "keep me\n"
 
     def test_all_instances_failing_is_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsp"

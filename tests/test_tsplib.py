@@ -79,6 +79,27 @@ class TestParse:
         with pytest.raises(TsplibParseError, match=f"dimension must be at least 3, got {dimension}"):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "EDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1\n1 0\n",
+            "EDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2\n3\n",
+            "EDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : LOWER_DIAG_ROW\nEDGE_WEIGHT_SECTION\n0\n1 0\n",
+            "EDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 0 1\n",
+        ],
+        ids=["FULL_MATRIX", "UPPER_ROW", "LOWER_DIAG_ROW", "NODE_COORD"],
+    )
+    def test_negative_dimension_fails_at_its_header_line(self, section):
+        # the sections read DIMENSION as a count, so it is checked where it is read,
+        # before any section line is taken for a count or a keyword
+        text = f"NAME : neg\nDIMENSION : -2\n{section}EOF\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                TsplibParseError, match=r"^line 2: dimension must be at least 3, got -2 \('DIMENSION : -2'\)$"
+            ):
+                parse_instance(text)
+
     def test_unsupported_edge_weight_type_names_line(self):
         text = make_coord_file([(0, 0), (0, 1), (1, 0)], metric="ATT")
         with pytest.raises(TsplibParseError, match="EDGE_WEIGHT_TYPE"):
