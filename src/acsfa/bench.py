@@ -174,8 +174,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         raise ValueError(f"instances: file(s) not found: {', '.join(missing)}")
     out = Path(config.output_dir)
     existing = next(p for p in (out, *out.parents) if p.exists())  # export makes the rest
-    if not existing.is_dir():
-        raise ValueError(f"output_dir: {existing} exists and is not a directory")
+    subdirs = [out / "runs"] + ([out / "traces"] if "acsfa" in config.algorithms else [])
+    for path in (existing, *subdirs):
+        if path.exists() and not path.is_dir():
+            raise ValueError(f"output_dir: {path} exists and is not a directory")
     return config
 
 
@@ -324,7 +326,13 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
     elif not output_dir:
         raise ValueError(_EMPTY_OUTPUT_DIR)
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    runs_dir = out / "runs"
+    traces_dir = out / "traces"
+    # the folders are made before any file is written, so a file in the
+    # place of one fails the export with nothing written
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    if result.traces:
+        traces_dir.mkdir(exist_ok=True)
     written: list[Path] = []
 
     summary_path = out / "summary.csv"
@@ -338,20 +346,15 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
         matrix_path.write_text(write_response_matrix(best_length_matrix(result)))
         written.append(matrix_path)
 
-    runs_dir = out / "runs"
-    runs_dir.mkdir(exist_ok=True)
     for record in result.records:
         path = runs_dir / f"{record.algorithm}__{record.instance}__seed{record.seed}.txt"
         path.write_text(format_record(record))
         written.append(path)
 
-    if result.traces:
-        traces_dir = out / "traces"
-        traces_dir.mkdir(exist_ok=True)
-        for (algo, name, seed), trace in result.traces.items():
-            path = traces_dir / f"{algo}__{name}__seed{seed}_params.csv"
-            path.write_text(format_trace(trace))
-            written.append(path)
+    for (algo, name, seed), trace in result.traces.items():
+        path = traces_dir / f"{algo}__{name}__seed{seed}_params.csv"
+        path.write_text(format_trace(trace))
+        written.append(path)
 
     if result.failures:
         failures_path = out / "failures.txt"
@@ -363,8 +366,8 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
     # an earlier export's files, unless rewritten above
     kept = set(written)
     stale = [out / "best_matrix.csv", out / "failures.txt", *runs_dir.iterdir()]
-    if (out / "traces").is_dir():
-        stale += (out / "traces").iterdir()
+    if traces_dir.is_dir():
+        stale += traces_dir.iterdir()
     for path in stale:
         if path.is_file() and path not in kept:
             path.unlink()

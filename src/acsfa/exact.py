@@ -63,16 +63,12 @@ def held_karp(inst: TspInstance) -> int:
     full = 1 << m
     # dp[mask, j]: cheapest path from city 0 through set `mask` ending at j+1
     dp = np.full((full, m), unreached, dtype=dtype)
-    dp[np.left_shift(1, np.arange(m)), np.arange(m)] = d[0, 1:]
-    sub = d[1:, 1:]
+    bits = np.left_shift(1, np.arange(m))
+    dp[bits, np.arange(m)] = d[0, 1:]
+    into = d[1:, 1:].T  # into[j, k]: the weight from city k+1 into city j+1
     for mask in range(3, full):
         if mask & (mask - 1) == 0:  # singletons are seeded above
             continue
-        row = dp[mask]
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            j = bit.bit_length() - 1
-            row[j] = np.min(dp[mask ^ bit] + sub[:, j])
-            rest ^= bit
+        ends = np.flatnonzero(mask & bits)
+        dp[mask, ends] = (dp[mask ^ bits[ends]] + into[ends]).min(axis=1)
     return int(np.min(dp[full - 1] + d[1:, 0]))

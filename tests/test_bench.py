@@ -519,6 +519,31 @@ class TestExport:
         ]
         assert {p for p in out.rglob("*") if p.is_file()} == set(later)
 
+    @pytest.mark.parametrize("taken", ["runs", "traces"])
+    def test_a_file_in_place_of_a_folder_fails_before_any_write(self, mini_config, tmp_path, taken):
+        result = run_experiment(mini_config)
+        out = Path(mini_config.output_dir)
+        out.mkdir()
+        (out / taken).write_text("keep me\n")
+        with pytest.raises(FileExistsError):
+            export(result)
+        # runs/ may be made before traces fails, but no file is written
+        assert [p.name for p in out.rglob("*") if p.is_file()] == [taken]
+        assert (out / taken).read_text() == "keep me\n"
+
+    def test_a_traces_file_is_no_obstacle_without_the_hybrid(self, mini_path, tmp_path):
+        # acs writes no trace, so parse_config and export leave a file named traces be
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "traces").write_text("keep me\n")
+        config = parse_config(
+            f"instances = {mini_path.name}\nalgorithms = acs\nrepetitions = 1\niterations = 1\noutput_dir = out\n",
+            base_dir=tmp_path,
+        )
+        export(run_experiment(config))
+        assert (out / "traces").read_text() == "keep me\n"
+        assert (out / "summary.csv").is_file()
+
     def test_empty_output_dir_rejected_before_any_sweep(self, mini_config, tmp_path, monkeypatch):
         result = run_experiment(mini_config)
         cwd = tmp_path / "cwd"

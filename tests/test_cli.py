@@ -268,10 +268,17 @@ class TestBench:
         assert notes.read_text() == "keep me\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["exp.cfg", "mini5.tsp", "notes.txt", "runs"]
 
-    @pytest.mark.parametrize("output_dir", ["taken", "taken/out"], ids=["a file", "below a file"])
-    def test_output_dir_on_a_file_fails_before_any_cell(self, mini_path, tmp_path, monkeypatch, capsys, output_dir):
+    @pytest.mark.parametrize(
+        "output_dir, taken",
+        [("taken", "taken"), ("taken/out", "taken"), ("out", "out/runs"), ("out", "out/traces")],
+        ids=["a file", "below a file", "runs is a file", "traces is a file"],
+    )
+    def test_output_dir_on_a_file_fails_before_any_cell(
+        self, mini_path, tmp_path, monkeypatch, capsys, output_dir, taken
+    ):
         # export would fail only after every cell had run
-        (tmp_path / "taken").write_text("keep me\n")
+        (tmp_path / taken).parent.mkdir(exist_ok=True)
+        (tmp_path / taken).write_text("keep me\n")
         cells = []
         monkeypatch.setattr("acsfa.bench.run_acs", lambda *args: cells.append(args))
         monkeypatch.setattr("acsfa.bench.run_acsfa", lambda *args: cells.append(args))
@@ -280,9 +287,10 @@ class TestBench:
         assert main(["bench", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: output_dir: {tmp_path / 'taken'} exists and is not a directory" in captured.err
+        assert f"error: output_dir: {tmp_path / taken} exists and is not a directory" in captured.err
         assert cells == []
-        assert (tmp_path / "taken").read_text() == "keep me\n"
+        assert (tmp_path / taken).read_text() == "keep me\n"
+        assert not (tmp_path / output_dir / "summary.csv").exists()
 
     def test_all_instances_failing_is_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsp"

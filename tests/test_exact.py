@@ -16,6 +16,44 @@ def explicit(weights) -> TspInstance:
     return TspInstance(name="w", dimension=len(w), metric="EXPLICIT", weights=w)
 
 
+def reference_held_karp(inst: TspInstance) -> int:
+    """The subset DP with one numpy ``min`` per (subset, end city)."""
+    n = inst.dimension
+    top = int(inst.dist.max())
+    dtype = np.int32 if n * top < np.iinfo(np.int32).max - top else np.int64
+    unreached = np.iinfo(dtype).max - top
+    d = inst.dist.astype(dtype)
+    m = n - 1
+    full = 1 << m
+    dp = np.full((full, m), unreached, dtype=dtype)
+    dp[np.left_shift(1, np.arange(m)), np.arange(m)] = d[0, 1:]
+    sub = d[1:, 1:]
+    for mask in range(3, full):
+        if mask & (mask - 1) == 0:  # singletons are seeded above
+            continue
+        row = dp[mask]
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            j = bit.bit_length() - 1
+            row[j] = np.min(dp[mask ^ bit] + sub[:, j])
+            rest ^= bit
+    return int(np.min(dp[full - 1] + d[1:, 0]))
+
+
+def seeded_instance(kind: str, n: int, seed: int) -> TspInstance:
+    rng = np.random.default_rng(seed)
+    if kind == "EUC_2D":
+        return random_euclidean(n, rng)
+    if kind == "GEO":  # DDD.MM latitude and longitude, as in ulysses16
+        coords = np.round(rng.uniform([-60.0, -170.0], [60.0, 170.0], (n, 2)), 2)
+        return TspInstance(name="geo", dimension=n, metric="GEO", coords=coords)
+    # EXPLICIT: a symmetric integer matrix; "int64" weights overflow the int32 table
+    top = 2**40 if kind == "int64" else 1000
+    w = np.triu(rng.integers(1, top, (n, n), endpoint=True), 1)
+    return explicit(w + w.T)
+
+
 class TestBruteForce:
     def test_triangle(self, tiny3):
         assert brute_force(tiny3).length == 3
@@ -100,6 +138,19 @@ class TestHeldKarp:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak < 2.5e6
+
+    @pytest.mark.parametrize(
+        "kind, n, seed",
+        [("EUC_2D", 11, 5), ("GEO", 12, 6), ("EXPLICIT", 13, 7), ("int64", 14, 8)],
+        ids=["EUC_2D n=11", "GEO n=12", "EXPLICIT n=13", "EXPLICIT int64 n=14"],
+    )
+    def test_matches_the_per_end_loop(self, kind, n, seed):
+        # the reference takes one min per (subset, end city), held_karp one per
+        # subset; both take each entry's min over the same integer sums
+        inst = seeded_instance(kind, n, seed)
+        needs_int64 = n * int(inst.dist.max()) >= np.iinfo(np.int32).max - int(inst.dist.max())
+        assert needs_int64 == (kind == "int64")
+        assert held_karp(inst) == reference_held_karp(inst)
 
     @settings(max_examples=60, deadline=None)
     @given(
