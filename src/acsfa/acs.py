@@ -131,18 +131,20 @@ def _heuristic_levels(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
     return _inverse_distance(levels), index.reshape(d.shape)
 
 
-def _choose(w: np.ndarray, avail: np.ndarray, q0: float, draw: Callable[[], float]) -> int:
-    """Pseudo-random-proportional rule over a masked row of weights.
+def _choose(w: np.ndarray, avail: np.ndarray, exploit: bool, draw: Callable[[], float]) -> int:
+    """Pseudo-random-proportional rule over a masked row of weights, once the
+    first uniform has decided between its two branches.
 
-    ``draw()`` returns the next uniform in [0, 1). With probability q0 take
-    the largest weight (ties: lowest index), otherwise sample a city with
-    probability proportional to its weight.
+    ``draw()`` returns the next uniform in [0, 1). When ``exploit`` (the
+    caller's first uniform was at most q0) take the largest weight (ties:
+    lowest index), otherwise sample a city with probability proportional to
+    its weight.
     Visited cities weigh 0.0, so the cumulative sum only rises at unvisited
     ones and ``searchsorted`` can only land there. Adding 0.0 is exact, so
     the choice and the random draws equal those of the same rule applied to
     the unvisited cities alone.
     """
-    if draw() <= q0:
+    if exploit:
         s = int(w.argmax())
         # every weight underflowed to 0.0: the lowest unvisited city
         return s if avail.item(s) else int(avail.argmax())
@@ -155,6 +157,25 @@ def _choose(w: np.ndarray, avail: np.ndarray, q0: float, draw: Callable[[], floa
     # weights can underflow to all-zero after very long decay: fall back to uniform
     J = np.flatnonzero(avail)
     return int(J[min(int(draw() * J.size), J.size - 1)])
+
+
+def _shortlist(weights: np.ndarray) -> tuple[list[int], list[int]]:
+    """The cities of each row's largest and second-largest off-diagonal weight: ``(first, second)``.
+
+    Ties go to the lowest index. Each 64-row block is copied once, with its
+    diagonal and then each row's first pick set to -1.0, below any weight.
+    """
+    n = len(weights)
+    first: list[int] = []
+    second: list[int] = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = weights[lo : lo + _BLOCK_ROWS].copy()
+        block.reshape(-1)[lo :: n + 1] = -1.0
+        top = block.argmax(axis=1)
+        first += top.tolist()
+        block[np.arange(len(block)), top] = -1.0
+        second += block.argmax(axis=1).tolist()
+    return first, second
 
 
 def transition_probabilities(
@@ -242,6 +263,17 @@ def construct_tour(
     ones, so the product taken when the ant starts stays exact for the whole
     tour; ``weights`` is not written.
 
+    An exploiting step (first uniform at most q0) first asks the ant's
+    shortlist (:func:`_shortlist`): each row's largest and second-largest
+    off-diagonal weight, ties to the lowest index, taken once per ant. For
+    finite weights >= 0 the masked row reads 0.0 at every visited city, so
+    an unvisited ``first[r]``, or else an unvisited ``second[r]``, is its
+    lowest-index maximum, the city the masked ``argmax`` would pick (when
+    the row is all 0.0 it is the lowest unvisited city, as there). Only when
+    both are visited does the step take :func:`_choose`'s masked row; an
+    exploring step always does. The picks and the draws are those of the
+    masked rule at every step.
+
     No step reads ``tau``, so :func:`local_update` is applied once per tour,
     after it closes, to its n edges at once. A step uses one or two
     uniforms. They are drawn in blocks: when one runs out, the next holds
@@ -261,9 +293,20 @@ def construct_tour(
     order = [labels[start]]
     # rng.random(k) gives the doubles of k scalar calls
     draw = chain.from_iterable(iter(lambda: rng.random(n - len(order)).tolist(), None)).__next__
+    first, second = _shortlist(weights)
+    free = [True] * n
+    free[start] = False
     r = start
     for _ in range(n - 1):
-        s = _choose(weights[r] * avail, avail, q0, draw)
+        if draw() <= q0:
+            s = first[r]
+            if not free[s]:
+                s = second[r]
+                if not free[s]:
+                    s = _choose(weights[r] * avail, avail, True, draw)
+        else:
+            s = _choose(weights[r] * avail, avail, False, draw)
+        free[s] = False
         avail[s] = 0.0
         order.append(labels[s])
         r = s
@@ -278,10 +321,12 @@ def construct_tour(
 # Work is counted in entries: a rebuild writes n * n, a refresh the 2n
 # entries of each stale tour, at about this many rebuild entries apiece
 # (flat take, level lookup, multiply and put, fixed call costs spread in).
-# On a 2-core Xeon the two cost the same near n = 104 for one stale tour
-# (a cost of 52) and n = 128 for two (a cost of 32), so a one-tour sync at
-# n in 65..104 refreshes where a rebuild would be a little faster. Either
-# way the product has the same bytes.
+# On a 2-core Xeon the two cost the same near n = 100 for one stale tour
+# (a cost of 50) and n = 120 for two (a cost of 30), so a one-tour sync at
+# n in 65..100 refreshes where a rebuild would be up to ~1 us faster: run_acs
+# at n = 100 takes the same time with a cost of 32 or 52. The per-ant
+# shortlist of construct_tour is the same work either way, and so is the
+# product's bytes.
 _REFRESH_COST = 32
 
 
@@ -357,6 +402,9 @@ def colony(
     once per new beta), and otherwise brought up to date at the edges of the
     tours built or reinforced since, or rebuilt when that is cheaper. A run
     therefore holds two n x n float matrices: the pheromone and the weights.
+    Each ant also takes its shortlist of two cities per row from the
+    weights, one 64-row block copy at a time (see :func:`construct_tour`);
+    its exploiting steps mostly end there, with no numpy call.
     """
     n = inst.dimension
     tau0 = compute_tau0(inst)

@@ -215,7 +215,7 @@ def choose_next(r, unvisited, tau, inst, beta, q0, rng) -> int:
     avail = np.zeros(inst.dimension)
     avail[list(unvisited)] = 1.0
     eta_pow = heuristic_matrix(inst)[r] ** beta
-    return _choose(tau[r] * eta_pow * avail, avail, q0, rng.random)
+    return _choose(tau[r] * eta_pow * avail, avail, rng.random() <= q0, rng.random)
 
 
 class TestSelectNextCity:

@@ -20,6 +20,7 @@ import acsfa.acs
 from acsfa.acs import (
     AcsParams,
     _choose,
+    _shortlist,
     colony,
     compute_tau0,
     construct_tour,
@@ -118,7 +119,7 @@ def _kernel_and_reference(tau, eta_pow, visited):
 def test_kernel_matches_reference_on_a_generator(row, q0, seed):
     J, w_ref, avail, w = _kernel_and_reference(*row)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _choose(w, avail, q0, rng.random) == reference_pick(J, w_ref, q0, ref_rng)
+    assert _choose(w, avail, rng.random() <= q0, rng.random) == reference_pick(J, w_ref, q0, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -134,7 +135,7 @@ def test_kernel_matches_reference_at_draw_endpoints(row, q0, draws):
     # end-of-range clamp must map to the last unvisited city
     J, w_ref, avail, w = _kernel_and_reference(*row)
     ref_rng, rng = ScriptedRng(draws), ScriptedRng(draws)
-    assert _choose(w, avail, q0, rng.random) == reference_pick(J, w_ref, q0, ref_rng)
+    assert _choose(w, avail, rng.random() <= q0, rng.random) == reference_pick(J, w_ref, q0, ref_rng)
     assert rng.used == ref_rng.used
 
 
@@ -152,13 +153,13 @@ def test_underflowed_row_exploits_the_lowest_unvisited_city():
     avail = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
     w = np.full(5, 1e-200) * np.full(5, 1e-200) * avail
     assert not w.any()
-    assert _choose(w, avail, 1.0, np.random.default_rng(0).random) == 2
+    assert _choose(w, avail, True, np.random.default_rng(0).random) == 2
 
 
 def test_draw_at_the_total_samples_the_last_unvisited_city():
     avail = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
     w = np.ones(5) * np.ones(5) * avail
-    assert _choose(w, avail, 0.0, ScriptedRng([0.5, 1.0]).random) == 2
+    assert _choose(w, avail, False, ScriptedRng([1.0]).random) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,6 +231,79 @@ def test_construct_tour_matches_reference_on_any_bit_generator(n, beta, rho, q0,
     assert tau.tobytes() == ref_tau.tobytes()
     assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert rng.integers(2**40) == ref_rng.integers(2**40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(3, 20), st.integers(60, 140)),
+    side=st.integers(1, 4),
+    beta=st.sampled_from([0.0, 1.0, 2.0]),
+    level=st.sampled_from([1.0, 1e-200]),
+    q0=st.sampled_from([0.85, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_construct_tour_matches_reference_on_ties_and_zero_rows(n, side, beta, level, q0, seed):
+    # integer-grid points share distances and coincide, tau is uniform and
+    # beta = 0 makes every power 1, so most rows tie; at level 1e-200 every
+    # off-diagonal weight underflows to 0.0; the diagonal, which no step
+    # reads, is each row's largest weight; n spans one to three 64-row blocks
+    setup = np.random.default_rng(seed)
+    inst = TspInstance(name="g", dimension=n, metric="EUC_2D", coords=setup.integers(0, side, (n, 2), endpoint=True))
+    tau = np.full((n, n), level)
+    ref_tau = tau.copy()
+    eta_pow = heuristic_matrix(inst) ** beta * level
+    np.fill_diagonal(eta_pow, 2.0)
+    weights = tau * eta_pow
+    assert (weights.diagonal() > weights.max(axis=1, where=~np.eye(n, dtype=bool), initial=0.0)).all()
+    assert (weights[~np.eye(n, dtype=bool)] == 0.0).all() == (level < 1.0)
+    ant = {"q0": q0, "rho": 0.1, "tau0": level}
+    start = int(setup.integers(n))
+
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, start, eta_pow=eta_pow, **ant)
+    assert construct_tour(inst, tau, rng, start, weights=weights, **ant) == expected
+    assert tau.tobytes() == ref_tau.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(3, 20), st.integers(60, 140)),
+    levels=st.integers(1, 3),
+    diagonal=st.sampled_from([0.0, 1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shortlist_takes_each_rows_two_largest_off_diagonal_weights(n, levels, diagonal, seed):
+    # weights of a few levels tie within rows, and zero rows occur at one level
+    w = np.random.default_rng(seed).integers(0, levels, (n, n)).astype(float)
+    np.fill_diagonal(w, diagonal)
+    first, second = _shortlist(w)
+    for r in range(n):
+        ranked = sorted((j for j in range(n) if j != r), key=lambda j: (-w[r, j], j))
+        assert (first[r], second[r]) == (ranked[0], ranked[1])
+
+
+@pytest.mark.parametrize("n", [51, 130])
+def test_construct_tour_reads_a_read_only_weight_matrix(n):
+    # the shortlist copies each row block before it marks it, so a weight
+    # matrix that cannot be written is read as it is and left unchanged
+    setup = np.random.default_rng(n)
+    inst = TspInstance(name="r", dimension=n, metric="EUC_2D", coords=setup.random((n, 2)) * 100)
+    tau0 = compute_tau0(inst)
+    noise = setup.random((n, n))
+    tau = tau0 * (1.0 + noise + noise.T)
+    ref_tau = tau.copy()
+    eta_pow = heuristic_matrix(inst) ** 2.0
+    weights = tau * eta_pow
+    weights.setflags(write=False)
+    before = weights.tobytes()
+    ant = {"q0": 0.85, "rho": 0.1, "tau0": tau0}
+
+    ref_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+    expected = reference_construct_tour(inst, ref_tau, ref_rng, 3, eta_pow=eta_pow, **ant)
+    assert construct_tour(inst, tau, rng, 3, weights=weights, **ant) == expected
+    assert weights.tobytes() == before
+    assert tau.tobytes() == ref_tau.tobytes()
 
 
 class SealedPCG64(np.random.PCG64):
