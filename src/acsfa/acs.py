@@ -318,18 +318,6 @@ def construct_tour(
     return Tour(order=tuple(order), length=int(inst.dist[r, s].sum()))
 
 
-# Work is counted in entries: a rebuild writes n * n, a refresh the 2n
-# entries of each stale tour, at about this many rebuild entries apiece
-# (flat take, level lookup, multiply and put, fixed call costs spread in).
-# On a 2-core Xeon the two cost the same near n = 100 for one stale tour
-# (a cost of 50) and n = 120 for two (a cost of 30), so a one-tour sync at
-# n in 65..100 refreshes where a rebuild would be up to ~1 us faster: run_acs
-# at n = 100 takes the same time with a cost of 32 or 52. The per-ant
-# shortlist of construct_tour is the same work either way, and so is the
-# product's bytes.
-_REFRESH_COST = 32
-
-
 class _WeightProduct:
     """``tau * table**beta[index]``, kept equal to it at every entry an ant reads.
 
@@ -337,6 +325,11 @@ class _WeightProduct:
     has the bytes of ``heuristic_matrix(inst) ** beta``. The pheromone
     changes only along tours: call :meth:`touched` with each tour built or
     reinforced, and :meth:`sync` before the next ant reads the product.
+
+    A new beta rebuilds the whole product. With beta unchanged, a product of
+    one 64-row block (n <= 64) is rebuilt too, one ``take`` and one
+    multiply; a larger one is refreshed at the 2n entries of each stale
+    tour. Both write the same bytes.
     """
 
     def __init__(self, inst: TspInstance, tau: np.ndarray) -> None:
@@ -353,13 +346,12 @@ class _WeightProduct:
 
     def sync(self, beta: float) -> np.ndarray:
         """The product for ``beta``, current at every entry."""
-        n = len(self.tau)
         if beta != self.beta:
             self.beta = beta
             self.powers = self.table**beta
             self._rebuild()
         elif self.stale:
-            if n * n <= _REFRESH_COST * 2 * n * len(self.stale):
+            if len(self.tau) <= _BLOCK_ROWS:
                 self._rebuild()
             else:
                 self._refresh()
@@ -385,23 +377,24 @@ class _WeightProduct:
 def colony(
     inst: TspInstance,
     rng: np.random.Generator,
-    alpha: float,
     ants: Callable[[], Iterable[tuple[float, float, float]]],
 ) -> Iterator[tuple[Tour, list[tuple[int, int]]]]:
     """The ACS iteration of both solvers; it runs until the caller stops.
 
     Each iteration, ``ants()`` hands out one ``(beta, q0, rho)`` of plain
-    floats per ant; each ant builds a tour from a random start on the shared
-    pheromone matrix, then the global best reinforces it. Yields the global
-    best and the ``(ant, length)`` of each tour that was a new global best
-    when built, in ant order.
+    floats per ant, at least one; each ant builds a tour from a random start
+    on the shared pheromone matrix, then the global best reinforces it with
+    the fixed evaporation ``AcsParams.alpha``. Yields the global best and the
+    ``(ant, length)`` of each tour that was a new global best when built, in
+    ant order. An iteration with no ant raises ``ValueError``.
 
     The colony keeps one weight matrix, ``tau * heuristic_matrix ** beta``,
     which every ant's steps read (see :func:`construct_tour`). Before each
     ant it is rebuilt when beta has changed (``table ** beta`` is raised
-    once per new beta), and otherwise brought up to date at the edges of the
-    tours built or reinforced since, or rebuilt when that is cheaper. A run
-    therefore holds two n x n float matrices: the pheromone and the weights.
+    once per new beta) or when n <= 64, and otherwise brought up to date at
+    the edges of the tours built or reinforced since (see
+    :class:`_WeightProduct`). A run therefore holds two n x n float
+    matrices: the pheromone and the weights.
     Each ant also takes its shortlist of two cities per row from the
     weights, one 64-row block copy at a time (see :func:`construct_tour`);
     its exploiting steps mostly end there, with no numpy call.
@@ -423,7 +416,9 @@ def colony(
                 best = tour
                 records.append((k, tour.length))
             k += 1
-        global_update(tau, best, alpha)
+        if not k:
+            raise ValueError("ants() handed out no ant for this iteration")
+        global_update(tau, best, AcsParams.alpha)
         product.touched(best.order)
         yield best, records
 
@@ -447,7 +442,7 @@ def run_acs(
     ant = (params.beta, params.q0, params.rho)
     best: Tour | None = None
     trace: list[int] = []
-    for best, _ in islice(colony(inst, rng, params.alpha, lambda: repeat(ant, params.m)), iterations):
+    for best, _ in islice(colony(inst, rng, lambda: repeat(ant, params.m)), iterations):
         trace.append(best.length)
     return _record("acs", inst, best, trace, t0)
 

@@ -112,9 +112,10 @@ def move(
     ``PARAM_NAMES`` order (:func:`sweep` passes five values of its one
     block). ``alpha`` is the kick size in range widths: the kick in each
     dimension is ``alpha * (u - 1/2)`` times that dimension's width.
-    The result is clamped to the bounds, so the step is total. Full
-    attraction (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather
-    than within rounding error.
+    The result is clamped to the bounds, so the step is total; a negative
+    gamma or a non-finite alpha raises ``ValueError``. Full attraction
+    (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather than within
+    rounding error.
 
     The math runs on the five fields as Python floats, written out per
     dimension (about twice as fast as a loop over them, and the hybrid
@@ -128,6 +129,8 @@ def move(
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     (lo0, hi0, w0), (lo1, hi1, w1), (lo2, hi2, w2), (lo3, hi3, w3), (lo4, hi4, w4) = bounds.sides
     a0, a1, a2, a3, a4 = xi
     t0, t1, t2, t3, t4 = xj
@@ -188,13 +191,15 @@ def sweep(
     up front, and their kicks come from one ``rng.random(5 * pairs)`` draw:
     the doubles of that many scalar calls, handed out five per move in sweep
     order, so the generator ends where one draw per move would leave it.
-    Every input is checked before that draw, a non-finite position and a
-    negative gamma included.
+    Every input is checked before that draw, a non-finite position, a
+    negative gamma and a non-finite alpha included.
     """
     if not vecs or len(vecs) != len(light):
         raise ValueError("population must be non-empty with one brightness per vector")
     if not all(math.isfinite(b) for b in light):
         raise ValueError("brightness values must be finite")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     for v in vecs:
         if not all(map(math.isfinite, v)):
             raise ValueError(f"positions must be finite, got {v}")

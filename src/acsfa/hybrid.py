@@ -85,6 +85,8 @@ def local_decay(rho: float, m: int) -> float:
 
 def init_population(bounds: ParamBounds, m: int, rng: np.random.Generator) -> list[ParamVector]:
     """m parameter vectors sampled uniformly within the box."""
+    if not is_integer(m):
+        raise ValueError(f"population size must be an integer >= 1, got {m!r}")
     if m < 1:
         raise ValueError(f"population size must be >= 1, got {m}")
     sample = bounds.lows + rng.random((m, len(PARAM_NAMES))) * bounds.widths
@@ -126,7 +128,7 @@ def run_acsfa(
     light = [0.0] * m
 
     brightest = 0
-    for it, (best, records) in zip(range(config.iterations), colony(inst, rng, AcsParams.alpha, ants)):
+    for it, (best, records) in zip(range(config.iterations), colony(inst, rng, ants)):
         for k, length in records:
             light[k] = 1.0 / max(length, 1)  # zero-length tours only on degenerate data
         pop = sweep(pop, light, alpha, config.bounds, rng)

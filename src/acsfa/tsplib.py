@@ -169,9 +169,12 @@ class TspInstance:
 def tour_length(inst: TspInstance, order) -> int:
     """Cyclic tour length including the closing edge.
 
-    ``order`` must be a permutation of 0..n-1.
+    ``order`` must be a permutation of 0..n-1, given as integers.
     """
-    o = np.asarray(order, dtype=np.int64)
+    o = np.asarray(order)
+    if o.dtype.kind not in "iu":
+        raise ValueError(f"order entries must be integers, got {o.dtype}")
+    o = o.astype(np.int64, copy=False)
     n = inst.dimension
     if o.shape != (n,) or not np.array_equal(np.sort(o), np.arange(n)):
         raise ValueError(f"order is not a permutation of 0..{n - 1}")

@@ -1,7 +1,7 @@
 import pickle
 import tracemalloc
 from dataclasses import fields
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
@@ -491,7 +491,7 @@ class TestConstructTour:
 def colony_iterations(inst: TspInstance, count: int, seed: int = 0) -> list:
     """(best, records) of a colony's first iterations; six ants with mixed settings."""
     ants = [(beta, q0, 0.1) for beta in (0.0, 2.0, 5.0) for q0 in (0.5, 0.95)]
-    return list(islice(colony(inst, np.random.default_rng(seed), 0.1, lambda: iter(ants)), count))
+    return list(islice(colony(inst, np.random.default_rng(seed), lambda: iter(ants)), count))
 
 
 class TestColony:
@@ -517,6 +517,48 @@ class TestColony:
             else:
                 assert best is previous
             previous = best
+
+    @pytest.mark.parametrize("schedule", [[[]], [[(2.0, 0.85, 0.1)] * 2, []]])
+    def test_an_iteration_with_no_ant_raises(self, ulysses16, schedule):
+        rounds = iter(schedule)
+        iterations = colony(ulysses16, np.random.default_rng(0), lambda: next(rounds))
+        for _ in schedule[:-1]:
+            next(iterations)
+        with pytest.raises(ValueError, match="no ant"):
+            next(iterations)
+
+    @pytest.mark.parametrize(
+        "n, path", [(n, "_rebuild") for n in (16, 51, 64)] + [(n, "_refresh") for n in (65, 100, 128, 129)]
+    )
+    def test_fixed_beta_rebuilds_one_row_block_and_refreshes_beyond(self, n, path, monkeypatch):
+        # at a fixed beta only the first sync raises table ** beta; after
+        # that, n alone picks the path
+        inst = random_euclidean(n, np.random.default_rng(n))
+        calls, syncs = [], []
+
+        def spy(name):
+            real = getattr(_WeightProduct, name)
+
+            def method(self):
+                calls.append(name)
+                real(self)
+
+            return method
+
+        for name in ("_rebuild", "_refresh"):
+            monkeypatch.setattr(_WeightProduct, name, spy(name))
+        real_sync = _WeightProduct.sync
+
+        def sync(self, beta):
+            calls.clear()
+            matrix = real_sync(self, beta)
+            fresh = self.tau * (self.table**beta)[self.index]
+            syncs.append((list(calls), matrix.tobytes() == fresh.tobytes()))
+            return matrix
+
+        monkeypatch.setattr(_WeightProduct, "sync", sync)
+        list(islice(colony(inst, np.random.default_rng(0), lambda: repeat((2.0, 0.85, 0.1), 3)), 3))
+        assert syncs == [(["_rebuild"], True)] + [([path], True)] * 8
 
     def test_run_acs_holds_the_pheromone_and_one_weight_matrix(self):
         # n x n float matrices alive at once: the pheromone and the weight

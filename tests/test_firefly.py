@@ -125,6 +125,11 @@ class TestMove:
         kick = (got.as_array() - mid.as_array()) / BOUNDS.widths
         assert kick == pytest.approx(0.3 * (u - 0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            move(LOW, HIGH, alpha, 1.0, BOUNDS, np.random.default_rng(0).random(5))
+
     def test_deterministic_given_seed(self):
         a = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42).random(5))
         b = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42).random(5))
@@ -215,6 +220,20 @@ class TestFireflyStep:
             sweep(pop, [0.1, 0.9], 0.0, ParamBounds(), rng)
         assert rng.bit_generator.state == state
         assert len(pop) == 2 and all(a is b for a, b in zip(pop, given_pop))  # NaN != NaN
+
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_non_finite_alpha_rejected_before_any_draw(self, alpha, size):
+        # a NaN or infinite kick once clamped every mover to the box's low corner
+        pop = random_vectors(np.random.default_rng(6), size)
+        given_pop = list(pop)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            sweep(pop, [0.1, 0.5, 0.9][:size], alpha, BOUNDS, rng)
+        assert rng.bit_generator.state == state
+        assert pop == given_pop
 
 
 class TestParamVector:

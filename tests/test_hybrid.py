@@ -109,6 +109,18 @@ class TestInitPopulation:
         with pytest.raises(ValueError):
             init_population(ParamBounds(), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, "3", None])
+    def test_non_integer_population_rejected(self, m):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="population size must be an integer >= 1"):
+            init_population(ParamBounds(), m, rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_population_accepted(self):
+        pop = init_population(ParamBounds(), np.int64(3), np.random.default_rng(0))
+        assert pop == init_population(ParamBounds(), 3, np.random.default_rng(0))
+
 
 class TestConfig:
     def test_defaults(self):

@@ -389,7 +389,7 @@ def reference_colony(inst, rng, alpha, schedule):
 
 @st.composite
 def colony_instances(draw) -> TspInstance:
-    """EUC_2D, GEO and EXPLICIT instances with n on both sides of the rebuild/refresh crossover."""
+    """EUC_2D, GEO and EXPLICIT instances with n on both sides of the 64-city block, below which a product rebuilds."""
     n = draw(st.one_of(st.integers(5, 20), st.integers(60, 130)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     metric = draw(st.sampled_from(["EUC_2D", "GEO", "EXPLICIT"]))
@@ -440,7 +440,7 @@ def test_colony_matches_the_reference_colony(inst, data, per_ant, iterations, m,
 
     with mock.patch.object(acsfa.acs, "construct_tour", spy):
         ants = iter(schedule)
-        list(islice(colony(inst, rng, 0.1, lambda: next(ants)), iterations))
+        list(islice(colony(inst, rng, lambda: next(ants)), iterations))
     assert tours == expected
     assert taus[-1].tobytes() == ref_tau.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -481,6 +481,26 @@ class TestTourLength:
         with pytest.raises(ValueError, match="permutation"):
             tour_length(tiny3, [0, 1])
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [k + 0.5 for k in range(16)],
+            [float(k) for k in range(16)],
+            np.arange(16) + 0.25,
+            [True] + [False] * 15,
+            ["0"] * 16,
+        ],
+    )
+    def test_non_integer_entries_rejected(self, ulysses16, order):
+        # truncating [0.5, 1.5, ..., 15.5] would measure the tour 0..15
+        with pytest.raises(ValueError, match="integers"):
+            tour_length(ulysses16, order)
+
+    def test_unsigned_and_narrow_integers_accepted(self, ulysses16):
+        order = [0, 13, 12, 11, 6, 5, 14, 4, 10, 8, 9, 15, 2, 1, 3, 7]
+        for dtype in (np.uint8, np.int16, np.uint64):
+            assert tour_length(ulysses16, np.array(order, dtype=dtype)) == 6859
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fixture", ["ulysses16", "eil51", "tiny3"])
