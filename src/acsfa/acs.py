@@ -13,20 +13,14 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tsplib import _BLOCK_ROWS, Tour, TspInstance, tour_length
+from .tsplib import _BLOCK_ROWS, Tour, TspInstance, check_integer, tour_length
 
 if TYPE_CHECKING:
     from .firefly import ParamVector
-
-
-def is_integer(value) -> bool:
-    """True for Python and numpy integers; False for ``bool``, which would count as 0 or 1."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,10 +38,7 @@ class AcsParams:
     m: int = 10
 
     def __post_init__(self) -> None:
-        if not is_integer(self.m):
-            raise ValueError(f"ant count m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError(f"ant count m must be >= 1, got {self.m}")
+        check_integer("ant count m", self.m, 1)
 
 
 @dataclass(frozen=True)
@@ -67,19 +58,17 @@ class RunRecord:
     best_params: "ParamVector | None" = None
 
 
-def nearest_neighbor_tour(inst: TspInstance, start: int = 0) -> Tour:
-    """Greedy tour, always visiting the nearest unvisited city (ties: lowest index)."""
+def nearest_neighbor_tour(inst: TspInstance) -> Tour:
+    """Greedy tour from city 0, always visiting the nearest unvisited city (ties: lowest index)."""
     n = inst.dimension
-    if not 0 <= start < n:
-        raise IndexError(f"start city {start} out of range for n={n}")
     d = inst.dist
     order = np.empty(n, dtype=np.int64)
     # 2**62 at visited cities: TspInstance bounds every distance by
     # (2**63 - 1) // 3 < 2**62, so the int64 sum is exact and ranks them last
     penalty = np.zeros(n, dtype=np.int64)
-    order[0] = start
-    penalty[start] = 2**62
-    r = start
+    order[0] = 0
+    penalty[0] = 2**62
+    r = 0
     for k in range(1, n):
         r = int((d[r] + penalty).argmin())
         order[k] = r
@@ -93,11 +82,12 @@ def compute_tau0(inst: TspInstance) -> float:
 
     A zero-length greedy tour (all points coincide) counts as length 1.
     """
-    return 1.0 / (inst.dimension * max(nearest_neighbor_tour(inst, 0).length, 1))
+    return 1.0 / (inst.dimension * max(nearest_neighbor_tour(inst).length, 1))
 
 
 def init_pheromone(n: int, tau0: float) -> np.ndarray:
     """Fresh symmetric pheromone matrix at the base level everywhere."""
+    n = check_integer("n", n, 1)
     if not tau0 > 0:
         raise ValueError(f"tau0 must be positive, got {tau0}")
     return np.full((n, n), float(tau0))
@@ -283,7 +273,8 @@ def construct_tour(
     written.
     """
     n = inst.dimension
-    if not 0 <= start < n:
+    # a city outside 0..n-1 is an IndexError, as any index would be
+    if not 0 <= check_integer("start city", start, -math.inf) < n:
         raise IndexError(f"start city {start} out of range for n={n}")
 
     avail = np.empty(n)
@@ -434,10 +425,7 @@ def run_acs(
     With ``iterations=0`` the greedy tour used for tau0 is returned, so the
     contract stays total.
     """
-    if not is_integer(iterations):
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    check_integer("iterations", iterations, 0)
     t0 = time.perf_counter()
     ant = (params.beta, params.q0, params.rho)
     best: Tour | None = None
@@ -458,5 +446,5 @@ def _record(
     """The record of a run started at ``t0``; with no iteration run, its best
     is the greedy tour that tau0 came from."""
     if best is None:
-        best = nearest_neighbor_tour(inst, 0)
+        best = nearest_neighbor_tour(inst)
     return RunRecord(algorithm, inst.name, best, tuple(trace), time.perf_counter() - t0, best_params=best_params)

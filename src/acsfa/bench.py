@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .acs import AcsParams, RunRecord, is_integer, run_acs
+from .acs import AcsParams, RunRecord, run_acs
 from .firefly import PARAM_NAMES
 from .hybrid import HybridConfig, ParameterTrace, run_acsfa
 from .stats import ResponseMatrix, write_response_matrix
-from .tsplib import TsplibParseError, parse_instance
+from .tsplib import TsplibParseError, check_integer, parse_instance
 
 ALGORITHMS = ("acs", "acsfa")
 
@@ -29,8 +29,8 @@ KNOWN_OPTIMA = {
 }
 
 
-# an empty output_dir is the working directory, whose runs/ and traces/
-# export would sweep of every file it did not write
+# an empty output_dir, or ".", is the working directory, whose runs/ and
+# traces/ export would sweep of every file it did not write
 _EMPTY_OUTPUT_DIR = "output_dir: must name a directory, got an empty value"
 
 
@@ -71,15 +71,10 @@ class ExperimentConfig:
                 raise ValueError(f"algorithms: unknown algorithm {algo!r} (expected acs/acsfa)")
             if algo in self.algorithms[:k]:
                 raise ValueError(f"algorithms: algorithm {algo!r} is repeated")
-        for key in ("repetitions", "base_seed"):
-            if not is_integer(getattr(self, key)):
-                raise ValueError(f"{key}: must be an integer, got {getattr(self, key)!r}")
-            object.__setattr__(self, key, int(getattr(self, key)))  # base_seed + k must not wrap
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed: must be >= 0, got {self.base_seed}")
-        if not self.output_dir:
+        for key, low in (("repetitions", 1), ("base_seed", 0)):
+            # an int, so base_seed + k cannot wrap
+            object.__setattr__(self, key, check_integer(f"{key}:", getattr(self, key), low))
+        if Path(self.output_dir) == Path():
             raise ValueError(_EMPTY_OUTPUT_DIR)
         # ants first: the hybrid checks m again, and its message must not carry the iterations key
         try:
@@ -318,14 +313,12 @@ def best_length_matrix(result: ExperimentResult) -> ResponseMatrix:
 def export(result: ExperimentResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write summary, per-run records, parameter traces and the best matrix.
 
-    ``output_dir`` defaults to the config's; an empty one is rejected before
-    anything is written or removed.
+    ``output_dir`` defaults to the config's; an empty one or ``"."``, the
+    working directory, is rejected before anything is written or removed.
     """
-    if output_dir is None:
-        output_dir = result.config.output_dir
-    elif not output_dir:
+    out = Path(result.config.output_dir if output_dir is None else output_dir)
+    if out == Path():
         raise ValueError(_EMPTY_OUTPUT_DIR)
-    out = Path(output_dir)
     runs_dir = out / "runs"
     traces_dir = out / "traces"
     # the folders are made before any file is written, so a file in the

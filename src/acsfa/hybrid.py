@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import AcsParams, RunRecord, _record, colony, is_integer
+from .acs import AcsParams, RunRecord, _record, colony
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
-from .tsplib import Tour, TspInstance
+from .tsplib import Tour, TspInstance, check_integer
 
 _FIRST_KICK = 2.3  # the kick size alpha starts at, in range widths
 
@@ -54,10 +54,7 @@ class HybridConfig:
     m: int = AcsParams.m
 
     def __post_init__(self) -> None:
-        if not is_integer(self.iterations):
-            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        check_integer("iterations", self.iterations, 0)
         AcsParams(m=self.m)  # its owner checks m
 
 
@@ -78,17 +75,14 @@ class ParameterTrace:
         return self.means.shape[0]
 
 
-def local_decay(rho: float, m: int) -> float:
+def _local_decay(rho: float, m: int) -> float:
     """Per-crossing decay that leaves the fraction rho after m crossings."""
     return 1.0 - rho ** (1.0 / m)
 
 
 def init_population(bounds: ParamBounds, m: int, rng: np.random.Generator) -> list[ParamVector]:
     """m parameter vectors sampled uniformly within the box."""
-    if not is_integer(m):
-        raise ValueError(f"population size must be an integer >= 1, got {m!r}")
-    if m < 1:
-        raise ValueError(f"population size must be >= 1, got {m}")
+    m = check_integer("population size", m, 1)
     sample = bounds.lows + rng.random((m, len(PARAM_NAMES))) * bounds.widths
     return [ParamVector.from_array(row) for row in sample]
 
@@ -102,7 +96,7 @@ def run_acsfa(
 
     Per iteration of :func:`acsfa.acs.colony`: each ant builds a tour from a
     random start under its own parameters, applying the local rule on the
-    shared matrix with decay :func:`local_decay` (rho is per-iteration
+    shared matrix with decay :func:`_local_decay` (rho is per-iteration
     trail persistence); the global best reinforces the matrix; the firefly
     sweep evolves the parameter population with each ant's record as
     brightness (the inverse length of the best tour it built that was a new
@@ -120,7 +114,7 @@ def run_acsfa(
 
     def ants():
         for v in pop:
-            yield v.beta, v.q0, local_decay(v.rho, m)
+            yield v.beta, v.q0, _local_decay(v.rho, m)
 
     params = ParameterTrace(*(np.empty((config.iterations, len(PARAM_NAMES))) for _ in range(3)))
     best: Tour | None = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -36,6 +37,19 @@ _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE", "CAPACITY"}
 
 class TsplibParseError(ValueError):
     """A TSPLIB file that cannot be turned into a supported instance."""
+
+
+def check_integer(name: str, value, low: float) -> int:
+    """``value`` as an int, if it is a Python or numpy integer of at least ``low``.
+
+    Anything else raises ``ValueError``; so does a ``bool``, which would count
+    as 0 or 1.
+    """
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
@@ -99,18 +113,17 @@ class TspInstance:
     metric: str
     coords: np.ndarray | None = None
     weights: np.ndarray | None = None
+    # the full (n, n) integer distance matrix, a read-only view of _owner
+    dist: np.ndarray = field(init=False, repr=False)
     # the distance matrix the instance built or copied, kept writeable; it
     # is shown only as the read-only ``dist`` and nothing writes it
     _owner: np.ndarray = field(init=False, repr=False)
-    _dist: np.ndarray = field(init=False, repr=False)
     # the city labels 0..n-1 that every tour on the instance holds, so tours
     # share one int object per city rather than each making its own above 256
     _labels: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.dimension
-        if n < 3:
-            raise ValueError(f"dimension must be at least 3, got {n}")
+        n = check_integer("dimension", self.dimension, 3)
         if self.metric not in SUPPORTED_METRICS:
             raise ValueError(f"unsupported metric {self.metric!r}")
         if self.metric == "EXPLICIT":
@@ -151,7 +164,7 @@ class TspInstance:
         if self.metric == "EXPLICIT":
             object.__setattr__(self, "weights", dist)
         object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_labels", tuple(range(n)))
 
     def __reduce__(self):
@@ -159,11 +172,6 @@ class TspInstance:
         # whole, and unpickled apart; building again restores one matrix and
         # the labels
         return (type(self), (self.name, self.dimension, self.metric, self.coords, self.weights))
-
-    @property
-    def dist(self) -> np.ndarray:
-        """Full (n, n) integer distance matrix, read-only."""
-        return self._dist
 
 
 def tour_length(inst: TspInstance, order) -> int:
@@ -299,7 +307,7 @@ def parse_instance(text: str) -> TspInstance:
                 "LOWER_DIAG_ROW": n * (n + 1) // 2,
             }
             values, i = read_numbers(i + 1, counts[fmt], f"EDGE_WEIGHT_SECTION ({fmt})", _weight_token)
-            # Integral tokens stay exact in int64. A section with a fractional
+            # Integer tokens stay exact in int64. A section with a fractional
             # token, or one beyond int64, is read as floats, which TspInstance
             # rejects as non-integer weights.
             try:

@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 from dataclasses import fields
 from itertools import islice, repeat
@@ -54,13 +55,13 @@ def grid_instance(n: int, side: int, rng: np.random.Generator) -> TspInstance:
     return TspInstance(name=f"grid{n}", dimension=n, metric="EUC_2D", coords=coords)
 
 
-def reference_nearest_neighbor_order(inst: TspInstance, start: int) -> tuple[int, ...]:
-    """The greedy loop with a float copy of each row and a boolean visited mask."""
+def reference_nearest_neighbor_order(inst: TspInstance) -> tuple[int, ...]:
+    """The greedy loop from city 0 with a float copy of each row and a boolean visited mask."""
     n = inst.dimension
     visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    order = [start]
-    r = start
+    visited[0] = True
+    order = [0]
+    r = 0
     for _ in range(n - 1):
         row = inst.dist[r].astype(float)
         row[visited] = np.inf
@@ -100,19 +101,18 @@ class TestParams:
 
 class TestNearestNeighbor:
     def test_triangle(self, tiny3):
-        for start in range(3):
-            assert nearest_neighbor_tour(tiny3, start).length == 3
+        assert nearest_neighbor_tour(tiny3).length == 3
 
     def test_unit_square_perimeter(self, square4):
-        assert nearest_neighbor_tour(square4, 0).length == 4
+        assert nearest_neighbor_tour(square4).length == 4
 
     def test_scaled_square_follows_perimeter(self, square40):
-        tour = nearest_neighbor_tour(square40, 0)
+        tour = nearest_neighbor_tour(square40)
         assert tour.length == 40
         assert tour.order == (0, 1, 2, 3)
 
     def test_eil51_golden(self, eil51):
-        tour = nearest_neighbor_tour(eil51, 0)
+        tour = nearest_neighbor_tour(eil51)
         assert tour.length == EIL51_NN_LENGTH
         assert 426 <= tour.length <= 700
 
@@ -130,7 +130,7 @@ class TestNearestNeighbor:
             seen[best_c] = True
             cur = best_c
         total += d[cur][0]
-        assert total == nearest_neighbor_tour(eil51, 0).length
+        assert total == nearest_neighbor_tour(eil51).length
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_masked_copy_loop(self, seed):
@@ -140,15 +140,13 @@ class TestNearestNeighbor:
             inst = grid_instance(n, int(rng.integers(1, 12)), rng)
         else:
             inst = random_euclidean(n, rng)
-        for start in {0, n - 1, *(int(s) for s in rng.integers(n, size=3))}:
-            order = nearest_neighbor_tour(inst, start).order
-            assert order == reference_nearest_neighbor_order(inst, start)
+        assert nearest_neighbor_tour(inst).order == reference_nearest_neighbor_order(inst)
 
     def test_exact_above_2_53(self):
         # B + 1 and B differ only below float64's precision at 2**58: city 2 is nearest
         b = 2**58
         inst = explicit([[0, b + 1, b, 2 * b], [b + 1, 0, b, b], [b, b, 0, b], [2 * b, b, b, 0]])
-        tour = nearest_neighbor_tour(inst, 0)
+        tour = nearest_neighbor_tour(inst)
         assert tour.order == (0, 2, 1, 3)
         assert tour.length == 5 * b
 
@@ -156,7 +154,9 @@ class TestNearestNeighbor:
         # every distance at the (2**63 - 1) // 3 bound: the visited penalty must not overflow
         top = (2**63 - 1) // 3
         inst = explicit([[0, top, top], [top, 0, top], [top, top, 0]])
-        assert nearest_neighbor_tour(inst, 2).order == (2, 0, 1)
+        tour = nearest_neighbor_tour(inst)
+        assert tour.order == (0, 1, 2)
+        assert tour.length == 3 * top
 
 
 class TestTau0:
@@ -174,6 +174,12 @@ class TestTau0:
 
     def test_coincident_points_count_as_length_one(self):
         assert compute_tau0(COINCIDENT5) == 1.0 / 5
+
+    @pytest.mark.parametrize("n", [True, 2.5], ids=["bool", "float"])
+    def test_non_integer_pheromone_size_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            init_pheromone(n, 0.5)
+        assert init_pheromone(np.int64(3), 0.5).tolist() == [[0.5] * 3] * 3
 
 
 class TestTransitionProbabilities:
@@ -487,6 +493,25 @@ class TestConstructTour:
             assert (rho, tau0) == (0.3, ant["tau0"])
             calls.clear()
 
+    @pytest.mark.parametrize("start", [True, 2.5, np.float64(3)], ids=["bool", "float", "numpy-float"])
+    def test_non_integer_start_rejected_before_any_draw(self, ulysses16, start):
+        # True would pass the range check, and numpy would then read it as a mask
+        eta_pow, ant = ant_settings(ulysses16)
+        tau = init_pheromone(16, ant["tau0"])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^start city must be an integer, got {re.escape(repr(start))}$"):
+            construct_tour(ulysses16, tau, rng, start, weights=tau * eta_pow, **ant)
+        assert rng.bit_generator.state == state
+        assert (tau == ant["tau0"]).all()
+
+    @pytest.mark.parametrize("start", [-1, 16, np.int64(16)])
+    def test_start_outside_the_cities_is_an_index_error(self, ulysses16, start):
+        eta_pow, ant = ant_settings(ulysses16)
+        tau = init_pheromone(16, ant["tau0"])
+        with pytest.raises(IndexError, match=f"^start city {start} out of range for n=16$"):
+            construct_tour(ulysses16, tau, np.random.default_rng(0), start, weights=tau * eta_pow, **ant)
+
 
 def colony_iterations(inst: TspInstance, count: int, seed: int = 0) -> list:
     """(best, records) of a colony's first iterations; six ants with mixed settings."""
@@ -599,7 +624,7 @@ class TestSharedLabels:
         acs = [run_acs(inst, AcsParams(m=2), 2, np.random.default_rng(seed)).best_tour for seed in (0, 1)]
         config = HybridConfig(iterations=2, m=2)
         hybrid = [run_acsfa(inst, config, np.random.default_rng(seed))[0].best_tour for seed in (0, 1)]
-        greedy = nearest_neighbor_tour(inst, 7)
+        greedy = nearest_neighbor_tour(inst)
         assert acs[0].order != acs[1].order
         for tour in acs[1:] + hybrid + [greedy]:
             assert same_ints(acs[0], tour)

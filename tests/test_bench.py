@@ -162,8 +162,9 @@ output_dir = results
         # delete every file under that folder's runs/ that it did not write
         with pytest.raises(ValueError, match="^output_dir: "):
             parse_config(f"instances = {mini_path}\noutput_dir =\n", base_dir=mini_path.parent)
-        with pytest.raises(ValueError, match="^output_dir: "):
-            ExperimentConfig(instances=(str(mini_path),), output_dir="")
+        for output_dir in ("", "."):
+            with pytest.raises(ValueError, match="^output_dir: "):
+                ExperimentConfig(instances=(str(mini_path),), output_dir=output_dir)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -550,9 +551,11 @@ class TestExport:
         (cwd / "runs").mkdir(parents=True)
         (cwd / "runs" / "notes.txt").write_text("kept")
         monkeypatch.chdir(cwd)
-        with pytest.raises(ValueError, match="^output_dir: must name a directory, got an empty value$"):
-            export(result, "")
-        assert {p.relative_to(cwd).as_posix() for p in cwd.rglob("*")} == {"runs", "runs/notes.txt"}
+        # each names the working directory, whose runs/ the export would sweep
+        for output_dir in ("", ".", Path("")):
+            with pytest.raises(ValueError, match="^output_dir: must name a directory, got an empty value$"):
+                export(result, output_dir)
+            assert {p.relative_to(cwd).as_posix() for p in cwd.rglob("*")} == {"runs", "runs/notes.txt"}
 
 
 def test_known_optima_metadata():

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -196,6 +197,18 @@ class TestInstanceValidation:
     def test_dimension_below_three(self):
         with pytest.raises(ValueError, match="dimension"):
             TspInstance(name="x", dimension=2, metric="EUC_2D", coords=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dimension", [16.0, np.float64(16)], ids=["float", "numpy-float"])
+    def test_non_integer_dimension_rejected_before_the_matrix_is_built(self, ulysses16, dimension, monkeypatch):
+        def no_matrix(coords):
+            raise AssertionError("matrix built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tsplib, "_geo_matrix", no_matrix)
+            with pytest.raises(ValueError, match=f"^dimension must be an integer, got {re.escape(repr(dimension))}$"):
+                TspInstance(name="x", dimension=dimension, metric="GEO", coords=ulysses16.coords)
+        inst = TspInstance(name="x", dimension=np.int64(16), metric="GEO", coords=ulysses16.coords)
+        assert np.array_equal(inst.dist, ulysses16.dist)
 
     def test_exactly_one_of_coords_weights(self):
         with pytest.raises(ValueError):
