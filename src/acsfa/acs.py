@@ -176,8 +176,14 @@ def transition_probabilities(
     beta: float,
 ) -> np.ndarray:
     """Normalized choice distribution over the unvisited cities, sorted by index."""
-    avail = np.zeros(inst.dimension)
-    avail[np.asarray(list(unvisited), dtype=np.int64)] = 1.0
+    n = inst.dimension
+    unvisited = list(unvisited)
+    # a city outside 0..n-1 is an IndexError, as any index would be
+    for what, city in [("city r", r)] + [("unvisited city", c) for c in unvisited]:
+        if not 0 <= check_integer(what, city, -math.inf) < n:
+            raise IndexError(f"{what} {city} out of range for n={n}")
+    avail = np.zeros(n)
+    avail[np.asarray(unvisited, dtype=np.int64)] = 1.0
     J = np.flatnonzero(avail)
     if not J.size:
         raise ValueError("no unvisited cities to choose from")

@@ -8,6 +8,7 @@ never around file I/O.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,11 +28,6 @@ KNOWN_OPTIMA = {
     "ulysses16": 6859,
     "eil51": 426,
 }
-
-
-# an empty output_dir, or ".", is the working directory, whose runs/ and
-# traces/ export would sweep of every file it did not write
-_EMPTY_OUTPUT_DIR = "output_dir: must name a directory, got an empty value"
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,6 @@ class ExperimentConfig:
         for key, low in (("repetitions", 1), ("base_seed", 0)):
             # an int, so base_seed + k cannot wrap
             object.__setattr__(self, key, check_integer(f"{key}:", getattr(self, key), low))
-        if Path(self.output_dir) == Path():
-            raise ValueError(_EMPTY_OUTPUT_DIR)
         # ants first: the hybrid checks m again, and its message must not carry the iterations key
         try:
             object.__setattr__(self, "acs", AcsParams(m=self.ants))
@@ -150,7 +144,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         elif key == "algorithms":
             kwargs["algorithms"] = tuple(a.strip() for a in value.split(",") if a.strip())
         elif key == "output_dir":
-            kwargs["output_dir"] = str(base_dir / value) if value else ""  # ExperimentConfig rejects ''
+            if not value:
+                raise ValueError("output_dir: must name a directory, got an empty value")
+            kwargs["output_dir"] = str(base_dir / value)
         elif key in _INT_KEYS:
             try:
                 kwargs[key] = int(value)
@@ -188,8 +184,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, instance, repetition) cell and aggregate.
 
     An instance that fails to parse, or whose name repeats an earlier
-    instance's (records, traces and exported files are keyed by name), is
-    reported and skipped; the rest of the experiment still runs.
+    instance's or holds a ``/`` or ``,`` (exported file names and rows are
+    keyed by name), is reported and skipped; the rest of the experiment runs.
     """
     summaries: list[ExperimentSummary] = []
     records: list[RunRecord] = []
@@ -206,6 +202,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if inst.name in paths_by_name:
             error = f"instance name {inst.name!r} repeats that of {paths_by_name[inst.name]}"
             failures.append(InstanceFailure(path=path, error=error))
+            continue
+        if "/" in inst.name or "," in inst.name:  # a folder in a file name, a column in a row
+            failures.append(InstanceFailure(path=path, error=f"instance name {inst.name!r} holds a '/' or ','"))
             continue
         paths_by_name[inst.name] = path
         for algo in config.algorithms:
@@ -313,12 +312,10 @@ def best_length_matrix(result: ExperimentResult) -> ResponseMatrix:
 def export(result: ExperimentResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write summary, per-run records, parameter traces and the best matrix.
 
-    ``output_dir`` defaults to the config's; an empty one or ``"."``, the
-    working directory, is rejected before anything is written or removed.
+    ``output_dir`` defaults to the config's. A file of a name that an export
+    writes, but that this one did not write, is removed; no other file is.
     """
     out = Path(result.config.output_dir if output_dir is None else output_dir)
-    if out == Path():
-        raise ValueError(_EMPTY_OUTPUT_DIR)
     runs_dir = out / "runs"
     traces_dir = out / "traces"
     # the folders are made before any file is written, so a file in the
@@ -339,6 +336,8 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
         matrix_path.write_text(write_response_matrix(best_length_matrix(result)))
         written.append(matrix_path)
 
+    # every per-run name written below, and the only ones the sweep removes
+    stem = f"({'|'.join(ALGORITHMS)})__.+__seed[0-9]+"
     for record in result.records:
         path = runs_dir / f"{record.algorithm}__{record.instance}__seed{record.seed}.txt"
         path.write_text(format_record(record))
@@ -356,11 +355,11 @@ def export(result: ExperimentResult, output_dir: str | Path | None = None) -> li
         )
         written.append(failures_path)
 
-    # an earlier export's files, unless rewritten above
+    # an earlier export's files, unless rewritten above; glob finds nothing in a missing traces/
     kept = set(written)
-    stale = [out / "best_matrix.csv", out / "failures.txt", *runs_dir.iterdir()]
-    if traces_dir.is_dir():
-        stale += traces_dir.iterdir()
+    stale = [out / "best_matrix.csv", out / "failures.txt"]
+    stale += [p for p in runs_dir.glob("*") if re.fullmatch(rf"{stem}\.txt", p.name)]
+    stale += [p for p in traces_dir.glob("*") if re.fullmatch(rf"{stem}_params\.csv", p.name)]
     for path in stale:
         if path.is_file() and path not in kept:
             path.unlink()

@@ -215,6 +215,37 @@ class TestTransitionProbabilities:
         with pytest.raises(ValueError):
             transition_probabilities(0, [], init_pheromone(3, 0.5), tiny3, 2.0)
 
+    @pytest.mark.parametrize(
+        "r, unvisited, what, bad",
+        [
+            (True, [3, 4], "city r", True),
+            (2.5, [3, 4], "city r", 2.5),
+            (0, [2.5, 4], "unvisited city", 2.5),
+            (0, [True, 4], "unvisited city", True),
+        ],
+        ids=["bool r", "float r", "float city", "bool city"],
+    )
+    def test_non_integer_city_rejected(self, ulysses16, r, unvisited, what, bad):
+        # numpy would read True as a new axis, 2.5 as no index at all, and
+        # truncate the unvisited entries to cities 2 and 1
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got {bad!r}$"):
+            transition_probabilities(r, unvisited, init_pheromone(16, 0.5), ulysses16, 2.0)
+
+    @pytest.mark.parametrize(
+        "r, unvisited, what, bad",
+        [
+            (16, [3], "city r", 16),
+            (-1, [3], "city r", -1),
+            (0, [3, 16], "unvisited city", 16),
+            (0, [-1], "unvisited city", -1),
+        ],
+        ids=["r above", "r below", "city above", "city below"],
+    )
+    def test_city_outside_the_instance_is_an_index_error(self, ulysses16, r, unvisited, what, bad):
+        # -1 would wrap to city 15
+        with pytest.raises(IndexError, match=f"^{what} {bad} out of range for n=16$"):
+            transition_probabilities(r, unvisited, init_pheromone(16, 0.5), ulysses16, 2.0)
+
 
 def choose_next(r, unvisited, tau, inst, beta, q0, rng) -> int:
     """One pseudo-random-proportional choice through construct_tour's row kernel."""

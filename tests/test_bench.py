@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from acsfa.bench import (
 )
 from acsfa.firefly import PARAM_NAMES, ParamBounds
 from acsfa.hybrid import HybridConfig
+from acsfa.stats import read_response_matrix
 from acsfa.tsplib import format_instance
 from conftest import random_euclidean
 
@@ -158,13 +160,9 @@ output_dir = results
             HybridConfig(**{key: 1})
 
     def test_empty_output_dir_rejected(self, mini_path):
-        # it would resolve to the config's own folder, and export would then
-        # delete every file under that folder's runs/ that it did not write
-        with pytest.raises(ValueError, match="^output_dir: "):
+        # a key with no value is a mistake, not a request for the config's own folder
+        with pytest.raises(ValueError, match="^output_dir: must name a directory, got an empty value$"):
             parse_config(f"instances = {mini_path}\noutput_dir =\n", base_dir=mini_path.parent)
-        for output_dir in ("", "."):
-            with pytest.raises(ValueError, match="^output_dir: "):
-                ExperimentConfig(instances=(str(mini_path),), output_dir=output_dir)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -386,6 +384,30 @@ class TestRunExperiment:
         export(result)
         assert len(list((tmp_path / "o" / "runs").iterdir())) == len(result.records)
 
+    @pytest.mark.parametrize("name", ["sub/random12", "random,12"], ids=["slash", "comma"])
+    def test_instance_name_no_export_can_carry_is_skipped(self, mini_path, tmp_path, name):
+        # a '/' would put a run file in a missing folder, and a ',' would add
+        # a column to the summary and best matrix rows
+        first, bad = tmp_path / "a.tsp", tmp_path / "b.tsp"
+        first.write_text(format_instance(random_euclidean(12, np.random.default_rng(1))))
+        bad.write_text(first.read_text().replace("NAME : random12", f"NAME : {name}"))
+        config = ExperimentConfig(
+            instances=(str(first), str(bad), str(mini_path)),
+            repetitions=2,
+            iterations=2,
+            ants=2,
+            output_dir=str(tmp_path / "o"),
+        )
+        result = run_experiment(config)
+        assert [(f.path, f.error) for f in result.failures] == [
+            (str(bad), f"instance name {name!r} holds a '/' or ','")
+        ]
+        assert len(result.records) == 8
+        export(result)
+        matrix = read_response_matrix((tmp_path / "o" / "best_matrix.csv").read_text())
+        assert matrix.blocks == ("random12", "mini5")
+        assert (tmp_path / "o" / "failures.txt").read_text().startswith(f"{bad}: ")
+
 
 def format_summary_without_time(result):
     return [
@@ -545,17 +567,22 @@ class TestExport:
         assert (out / "traces").read_text() == "keep me\n"
         assert (out / "summary.csv").is_file()
 
-    def test_empty_output_dir_rejected_before_any_sweep(self, mini_config, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "output_dir", ["", ".", Path(""), "runs/..", "out"], ids=["empty", "dot", "empty-path", "runs-up", "folder"]
+    )
+    def test_files_an_export_cannot_name_survive(self, mini_config, tmp_path, monkeypatch, output_dir):
+        # the first four name the working directory
         result = run_experiment(mini_config)
-        cwd = tmp_path / "cwd"
-        (cwd / "runs").mkdir(parents=True)
-        (cwd / "runs" / "notes.txt").write_text("kept")
-        monkeypatch.chdir(cwd)
-        # each names the working directory, whose runs/ the export would sweep
-        for output_dir in ("", ".", Path("")):
-            with pytest.raises(ValueError, match="^output_dir: must name a directory, got an empty value$"):
-                export(result, output_dir)
-            assert {p.relative_to(cwd).as_posix() for p in cwd.rglob("*")} == {"runs", "runs/notes.txt"}
+        monkeypatch.chdir(tmp_path)
+        notes = [Path(output_dir, folder, "notes.txt") for folder in ("runs", "traces")]
+        for path in notes:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("kept")
+        written = export(result, output_dir)
+        assert len(written) == 1 + 2 * 3 + 3  # summary, runs, traces
+        on_disk = {p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()}
+        assert on_disk == {Path("mini5.tsp")} | {Path(os.path.normpath(p)) for p in [*notes, *written]}
+        assert [path.read_text() for path in notes] == ["kept", "kept"]
 
 
 def test_known_optima_metadata():

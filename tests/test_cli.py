@@ -254,8 +254,7 @@ class TestBench:
         assert not (tmp_path / "out").exists()
 
     def test_empty_output_dir_fails_before_any_cell(self, mini_path, tmp_path, capsys):
-        # an empty output_dir would resolve to the config's folder, and export
-        # would delete the files under its runs/ that it did not write
+        # a key with no value is a mistake: it fails before any cell runs or any file is written
         notes = tmp_path / "runs" / "notes.txt"
         notes.parent.mkdir()
         notes.write_text("keep me\n")
