@@ -158,7 +158,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     if "instances" not in kwargs:
         raise ValueError("instances: required key is missing")
     if "output_dir" not in kwargs:
-        kwargs["output_dir"] = str(base_dir / "acsfa-out")
+        kwargs["output_dir"] = str(base_dir / ExperimentConfig.output_dir)
     config = ExperimentConfig(**kwargs)
     missing = [p for p in config.instances if not Path(p).is_file()]
     if missing:

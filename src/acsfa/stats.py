@@ -21,6 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .tsplib import check_integer
+
 
 @dataclass(frozen=True, eq=False)
 class ResponseMatrix:
@@ -63,7 +65,6 @@ class AnovaTable:
     p_treatment: float
     f_block: float
     p_block: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ class TukeyGrouping:
     pairs: tuple[PairComparison, ...]
     q_critical: float
     hsd: float
-    confidence: float
 
 
 def error_matrix(best: ResponseMatrix, optima: Mapping[str, float]) -> ResponseMatrix:
@@ -122,8 +122,7 @@ def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
     ms_block = ss_block / df_block
     ms_error = ss_error / df_error
 
-    degenerate = ss_total == 0.0
-    if degenerate:
+    if ss_total == 0.0:
         f_treat = f_block = 0.0
         p_treat = p_block = 1.0
     elif ms_error == 0.0:
@@ -146,7 +145,6 @@ def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
         p_treatment=float(p_treat),
         f_block=float(f_block),
         p_block=float(p_block),
-        degenerate=degenerate,
     )
 
 
@@ -317,10 +315,10 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     Integrates the normal-range CDF against the density of s/sigma (chi over
     sqrt(df)) on Gauss-Legendre grids; the absolute error is below 1e-9 for k <= 10.
     """
-    if k < 2:
-        raise ValueError(f"need at least 2 groups, got {k}")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    k = check_integer("k", k, 2)
+    df = check_integer("df", df, 1)
+    if math.isnan(q):
+        raise ValueError("q must be a number, got nan")
     if q <= 0:
         return 0.0
     hi = 1.0 + 12.0 / np.sqrt(df)
@@ -368,18 +366,11 @@ def _increasing_root(f, lo: float, flo: float, hi: float, fhi: float, xtol: floa
 def studentized_range_quantile(p: float, k: int, df: int) -> float:
     """Inverse CDF of the studentized range, solved by bracketing to ~1e-9.
 
-    Quantiles beyond 1e4 (p very close to 1 at df = 1) are rejected. Results
-    are memoised per (p, k, df).
+    Quantiles beyond 1e4 (p very close to 1 at df = 1) are rejected.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    return _quantile(p, k, df)
 
-
-# the cache sits on a private helper so the public name stays a plain
-# function, with no __wrapped__ for tracing tools to mistake for a patch
-@lru_cache
-def _quantile(p: float, k: int, df: int) -> float:
     def f(q: float) -> float:
         return studentized_range_cdf(q, k, df) - p
 
@@ -458,7 +449,6 @@ def tukey_hsd(m: ResponseMatrix, confidence: float = 0.90) -> TukeyGrouping:
         pairs=tuple(pairs),
         q_critical=float(q_crit),
         hsd=float(hsd),
-        confidence=float(confidence),
     )
 
 

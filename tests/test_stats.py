@@ -189,7 +189,7 @@ class TestRcbdAnova:
     def test_degenerate_all_equal(self):
         m = ResponseMatrix(np.full((3, 4), 5.0), ("a", "b", "c"), ("w", "x", "y", "z"))
         table = rcbd_anova(m)
-        assert table.degenerate
+        assert table.total.ss == 0.0
         assert table.f_treatment == 0.0
         assert table.p_treatment == 1.0
 
@@ -323,11 +323,12 @@ class TestStudentizedRange:
             return cdf(q, k, df)
 
         monkeypatch.setattr(stats, "studentized_range_cdf", counted)
-        stats._quantile.cache_clear()
-        try:
-            q = studentized_range_quantile(0.999, 2, 1)
-        finally:
-            stats._quantile.cache_clear()
+        q = studentized_range_quantile(0.999, 2, 1)
+        first = points.copy()
+        points.clear()
+        # nothing is remembered between calls: a repeat integrates at the same points
+        assert studentized_range_quantile(0.999, 2, 1) == q
+        assert points == first
         assert points[:9] == [4.0 * 2**i for i in range(9)]
         assert all(512.0 < x < 1024.0 for x in points[9:])
         assert len(points) <= 17
@@ -346,11 +347,11 @@ class TestStudentizedRange:
             return cdf(q, k, df)
 
         monkeypatch.setattr(stats, "studentized_range_cdf", counted)
-        stats._quantile.cache_clear()
-        try:
-            q = studentized_range_quantile(0.9, 3, 22)
-        finally:
-            stats._quantile.cache_clear()
+        q = studentized_range_quantile(0.9, 3, 22)
+        first = points.copy()
+        points.clear()
+        assert studentized_range_quantile(0.9, 3, 22) == q
+        assert points == first
         assert points[0] == 4.0
         assert all(0.0 < x < 4.0 for x in points[1:])
         assert len(points) <= 11
@@ -360,7 +361,6 @@ class TestStudentizedRange:
         # numpy's leggauss eigensolved a 512 x 512 matrix and the CDF took
         # 64-row blocks: a 2.7 MB traced peak for this quantile
         stats._legendre.cache_clear()
-        stats._quantile.cache_clear()
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -371,7 +371,6 @@ class TestStudentizedRange:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-            stats._quantile.cache_clear()
         assert peak < 1e6
 
     def test_published_table_anchors(self):
@@ -392,6 +391,27 @@ class TestStudentizedRange:
             studentized_range_cdf(1.0, 1, 10)
         with pytest.raises(ValueError):
             studentized_range_quantile(1.5, 3, 10)
+
+    @pytest.mark.parametrize(
+        "fn, args, match",
+        [
+            (studentized_range_cdf, (math.nan, 3, 10), "nan"),
+            (studentized_range_cdf, (2.0, 2.5, 3), "k must be an integer"),
+            (studentized_range_quantile, (0.9, 2.5, 3), "k must be an integer"),
+            (studentized_range_cdf, (2.0, True, 3), "k must be an integer"),
+            (studentized_range_cdf, (2.0, 3, math.inf), "df must be an integer"),
+            (studentized_range_quantile, (0.9, 3, math.inf), "df must be an integer"),
+            (studentized_range_cdf, (2.0, 3, 0), "df must be >= 1"),
+        ],
+        ids=["nan-q", "fractional-k", "quantile-fractional-k", "bool-k", "infinite-df",
+             "quantile-infinite-df", "zero-df"],
+    )
+    def test_bad_arguments_rejected_up_front(self, fn, args, match):
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
+    def test_infinite_q_is_certain(self):
+        assert studentized_range_cdf(math.inf, 3, 10) == 1.0
 
     def test_quantile_beyond_the_bracket_rejected(self):
         # at df = 1 the 0.9999 quantile lies near 9003, past the 1e4 bracket's last doubling
