@@ -88,8 +88,8 @@ def compute_tau0(inst: TspInstance) -> float:
 def init_pheromone(n: int, tau0: float) -> np.ndarray:
     """Fresh symmetric pheromone matrix at the base level everywhere."""
     n = check_integer("n", n, 1)
-    if not tau0 > 0:
-        raise ValueError(f"tau0 must be positive, got {tau0}")
+    if not 0.0 < tau0 < math.inf:
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     return np.full((n, n), float(tau0))
 
 
@@ -400,7 +400,7 @@ def colony(
     tau0 = compute_tau0(inst)
     tau = init_pheromone(n, tau0)
     product = _WeightProduct(inst, tau)
-    best: Tour | None = None
+    best_length = math.inf  # so the first tour is a record
     while True:
         records = []
         k = 0
@@ -409,8 +409,8 @@ def colony(
             start = int(rng.integers(n))
             tour = construct_tour(inst, tau, rng, start, weights=weights, q0=q0, rho=rho, tau0=tau0)
             product.touched(tour.order)
-            if best is None or tour.length < best.length:
-                best = tour
+            if tour.length < best_length:
+                best, best_length = tour, tour.length
                 records.append((k, tour.length))
             k += 1
         if not k:
@@ -426,31 +426,11 @@ def run_acs(
     iterations: int,
     rng: np.random.Generator,
 ) -> RunRecord:
-    """Fixed-parameter solver: m ants per iteration from random starts.
-
-    With ``iterations=0`` the greedy tour used for tau0 is returned, so the
-    contract stays total.
-    """
-    check_integer("iterations", iterations, 0)
+    """Fixed-parameter solver: m ants per iteration from random starts, for at least one iteration."""
+    check_integer("iterations", iterations, 1)
     t0 = time.perf_counter()
     ant = (params.beta, params.q0, params.rho)
-    best: Tour | None = None
     trace: list[int] = []
     for best, _ in islice(colony(inst, rng, lambda: repeat(ant, params.m)), iterations):
         trace.append(best.length)
-    return _record("acs", inst, best, trace, t0)
-
-
-def _record(
-    algorithm: str,
-    inst: TspInstance,
-    best: Tour | None,
-    trace: list[int],
-    t0: float,
-    best_params: ParamVector | None = None,
-) -> RunRecord:
-    """The record of a run started at ``t0``; with no iteration run, its best
-    is the greedy tour that tau0 came from."""
-    if best is None:
-        best = nearest_neighbor_tour(inst)
-    return RunRecord(algorithm, inst.name, best, tuple(trace), time.perf_counter() - t0, best_params=best_params)
+    return RunRecord("acs", inst.name, best, tuple(trace), time.perf_counter() - t0)

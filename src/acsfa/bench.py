@@ -183,9 +183,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, instance, repetition) cell and aggregate.
 
-    An instance that fails to parse, or whose name repeats an earlier
-    instance's or holds a ``/`` or ``,`` (exported file names and rows are
-    keyed by name), is reported and skipped; the rest of the experiment runs.
+    An instance that fails to parse, or whose name is empty, repeats an
+    earlier instance's or holds a ``/`` or ``,`` (exported file names and
+    rows are keyed by name), is reported and skipped; the rest of the
+    experiment runs.
     """
     summaries: list[ExperimentSummary] = []
     records: list[RunRecord] = []
@@ -202,6 +203,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if inst.name in paths_by_name:
             error = f"instance name {inst.name!r} repeats that of {paths_by_name[inst.name]}"
             failures.append(InstanceFailure(path=path, error=error))
+            continue
+        if not inst.name:  # export's sweep would miss its run files
+            failures.append(InstanceFailure(path=path, error="instance name '' is empty"))
             continue
         if "/" in inst.name or "," in inst.name:  # a folder in a file name, a column in a row
             failures.append(InstanceFailure(path=path, error=f"instance name {inst.name!r} holds a '/' or ','"))

@@ -74,7 +74,8 @@ def _read_optima(path: str) -> dict[str, float]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        parts = stripped.replace(",", " ").split()
+        # the value is the last field: a block label may hold spaces
+        parts = stripped.replace(",", " ").rsplit(maxsplit=1)
         if len(parts) != 2:
             raise ValueError(f"optima file line {number}: expected 'name value' lines, got {stripped!r}")
         name, value = parts

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acs import AcsParams, RunRecord, _record, colony
+from .acs import AcsParams, RunRecord, colony
 from .firefly import PARAM_NAMES, ParamBounds, ParamVector, reduce_alpha, sweep
-from .tsplib import Tour, TspInstance, check_integer
+from .tsplib import TspInstance, check_integer
 
 _FIRST_KICK = 2.3  # the kick size alpha starts at, in range widths
 
@@ -54,7 +54,7 @@ class HybridConfig:
     m: int = AcsParams.m
 
     def __post_init__(self) -> None:
-        check_integer("iterations", self.iterations, 0)
+        check_integer("iterations", self.iterations, 1)
         AcsParams(m=self.m)  # its owner checks m
 
 
@@ -117,11 +117,9 @@ def run_acsfa(
             yield v.beta, v.q0, _local_decay(v.rho, m)
 
     params = ParameterTrace(*(np.empty((config.iterations, len(PARAM_NAMES))) for _ in range(3)))
-    best: Tour | None = None
     trace: list[int] = []
     light = [0.0] * m
 
-    brightest = 0
     for it, (best, records) in zip(range(config.iterations), colony(inst, rng, ants)):
         for k, length in records:
             light[k] = 1.0 / max(length, 1)  # zero-length tours only on degenerate data
@@ -134,6 +132,5 @@ def run_acsfa(
         positions.max(axis=0, out=params.maxs[it])
         trace.append(best.length)
 
-    best_params = pop[brightest] if config.iterations > 0 else None
-    record = _record("acsfa", inst, best, trace, t0, best_params)
-    return record, params
+    wall_time_s = time.perf_counter() - t0
+    return RunRecord("acsfa", inst.name, best, tuple(trace), wall_time_s, best_params=pop[brightest]), params

@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 import tracemalloc
@@ -180,6 +181,11 @@ class TestTau0:
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             init_pheromone(n, 0.5)
         assert init_pheromone(np.int64(3), 0.5).tolist() == [[0.5] * 3] * 3
+
+    @pytest.mark.parametrize("tau0", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_pheromone_level_must_be_positive_and_finite(self, tau0):
+        with pytest.raises(ValueError, match=f"^tau0 must be positive and finite, got {tau0}$"):
+            init_pheromone(3, tau0)
 
 
 class TestTransitionProbabilities:
@@ -694,10 +700,13 @@ class TestRunAcs:
         with pytest.raises(ValueError, match="iterations must be an integer, got True"):
             run_acs(tiny3, AcsParams(), True, np.random.default_rng(0))
 
-    def test_zero_iterations_returns_greedy_tour(self, eil51):
-        record = run_acs(eil51, AcsParams(), 0, np.random.default_rng(0))
-        assert record.best_tour.length == EIL51_NN_LENGTH
-        assert record.best_lengths == ()
+    def test_zero_iterations_rejected(self, eil51):
+        # a run of no iteration builds no tour to report: rejected before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^iterations must be >= 1, got 0$"):
+            run_acs(eil51, AcsParams(), 0, rng)
+        assert rng.bit_generator.state == state
 
     def test_coincident_points_give_a_zero_length_permutation(self):
         record = run_acs(COINCIDENT5, AcsParams(), 5, np.random.default_rng(0))

@@ -168,6 +168,7 @@ output_dir = results
         "key, value",
         [
             ("iterations", -1),
+            ("iterations", 0),  # a run of no iteration builds no tour
             ("ants", 0),
             ("iterations", 2.5),
             ("ants", 2.5),
@@ -384,10 +385,19 @@ class TestRunExperiment:
         export(result)
         assert len(list((tmp_path / "o" / "runs").iterdir())) == len(result.records)
 
-    @pytest.mark.parametrize("name", ["sub/random12", "random,12"], ids=["slash", "comma"])
-    def test_instance_name_no_export_can_carry_is_skipped(self, mini_path, tmp_path, name):
-        # a '/' would put a run file in a missing folder, and a ',' would add
-        # a column to the summary and best matrix rows
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("sub/random12", "instance name 'sub/random12' holds a '/' or ','"),
+            ("random,12", "instance name 'random,12' holds a '/' or ','"),
+            ("", "instance name '' is empty"),
+        ],
+        ids=["slash", "comma", "empty"],
+    )
+    def test_instance_name_no_export_can_carry_is_skipped(self, mini_path, tmp_path, name, error):
+        # a '/' would put a run file in a missing folder, a ',' would add a
+        # column to the summary and best matrix rows, and an empty name gives
+        # run files that a later export's sweep does not match
         first, bad = tmp_path / "a.tsp", tmp_path / "b.tsp"
         first.write_text(format_instance(random_euclidean(12, np.random.default_rng(1))))
         bad.write_text(first.read_text().replace("NAME : random12", f"NAME : {name}"))
@@ -399,9 +409,7 @@ class TestRunExperiment:
             output_dir=str(tmp_path / "o"),
         )
         result = run_experiment(config)
-        assert [(f.path, f.error) for f in result.failures] == [
-            (str(bad), f"instance name {name!r} holds a '/' or ','")
-        ]
+        assert [(f.path, f.error) for f in result.failures] == [(str(bad), error)]
         assert len(result.records) == 8
         export(result)
         matrix = read_response_matrix((tmp_path / "o" / "best_matrix.csv").read_text())

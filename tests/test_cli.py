@@ -100,6 +100,16 @@ class TestSolve:
         assert "error: base_seed: " in captured.err
         assert cells == []
 
+    def test_zero_iterations_fails_before_any_cell(self, mini_path, monkeypatch, capsys):
+        # a run of no iteration builds no tour to print
+        cells = []
+        monkeypatch.setattr("acsfa.bench.run_acsfa", lambda *args: cells.append(args))
+        assert main(["solve", str(mini_path), "--iterations", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: iterations: iterations must be >= 1, got 0" in captured.err
+        assert cells == []
+
     @pytest.mark.parametrize("trace", ["missing/t.csv", "."], ids=["missing folder", "directory"])
     def test_unwritable_trace_fails_before_the_solve(self, mini_path, tmp_path, monkeypatch, capsys, trace):
         cells = []
@@ -175,6 +185,19 @@ class TestStats:
         out = capsys.readouterr().out
         assert "response: error" in out
 
+    def test_optima_name_may_hold_spaces(self, tmp_path, capsys):
+        # the value is the last field, so a block label with a space can be named
+        reports = []
+        for label in ["ulysses16", "my inst"]:
+            matrix = tmp_path / "matrix.csv"
+            matrix.write_text(MATRIX.replace("ulysses16", label))
+            optima = tmp_path / "optima.txt"
+            optima.write_text(f"{label} 6859\nbays29, 2020\neil51 426\n")
+            assert main(["stats", str(matrix), "--response", "error", "--optima", str(optima)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "response: error" in reports[1]
+
     def test_error_without_optima_fails(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.csv"
         matrix.write_text(MATRIX)
@@ -188,8 +211,9 @@ class TestStats:
             ("ulysses16 6859\n# a comment\nbays29 abc\neil51 426\n", "line 3: optimum 'abc' is not a number"),
             ("ulysses16 6859\nbays29 nan\neil51 426\n", "line 2: optimum 'nan' is not finite"),
             ("ulysses16 inf\nbays29 2020\neil51 426\n", "line 1: optimum 'inf' is not finite"),
+            ("ulysses16 6859\nbays29\neil51 426\n", "line 2: expected 'name value' lines, got 'bays29'"),
         ],
-        ids=["repeated name", "non-numeric optimum", "nan optimum", "infinite optimum"],
+        ids=["repeated name", "non-numeric optimum", "nan optimum", "infinite optimum", "one field"],
     )
     def test_bad_optima_line_is_named(self, tmp_path, capsys, optima, message):
         matrix = tmp_path / "matrix.csv"

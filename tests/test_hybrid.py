@@ -140,6 +140,7 @@ class TestConfig:
             {"iterations": 2.5},
             {"m": 2.5},
             {"iterations": True},  # bool is an Integral
+            {"iterations": 0},  # a run of no iteration builds no tour
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -154,11 +155,10 @@ class TestConfig:
 
 
 class TestRunAcsfa:
-    def test_zero_iterations(self, tiny3):
-        record, trace = run_acsfa(tiny3, HybridConfig(iterations=0), np.random.default_rng(0))
-        assert record.best_tour.length == 3
-        assert len(trace) == 0
-        assert record.best_params is None
+    def test_zero_iterations(self):
+        # a run of no iteration builds no tour: the config is rejected, so no run starts
+        with pytest.raises(ValueError, match="^iterations must be >= 1, got 0$"):
+            HybridConfig(iterations=0)
 
     def test_trace_shape_and_bounds(self, ulysses16):
         config = HybridConfig(iterations=40, m=6)
@@ -192,7 +192,7 @@ class TestRunAcsfa:
         assert np.array_equal(record.best_params.as_array(), trace.means[0])
 
     @pytest.mark.parametrize("m", [1, 3, 10])
-    @pytest.mark.parametrize("iterations", [0, 63, 64, 65, 129])
+    @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 129])
     def test_trace_reduced_row_by_row_matches_each_iteration(self, iterations, m, tiny3, monkeypatch):
         # each row is its own iteration's population reduced, bit for bit,
         # on either side of 64 and 128 iterations as well
