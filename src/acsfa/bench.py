@@ -183,10 +183,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, instance, repetition) cell and aggregate.
 
-    An instance that fails to parse, or whose name is empty, repeats an
-    earlier instance's or holds a ``/`` or ``,`` (exported file names and
-    rows are keyed by name), is reported and skipped; the rest of the
-    experiment runs.
+    An instance that cannot be read as UTF-8 or fails to parse, or whose
+    name is empty, repeats an earlier instance's or holds a ``/``, ``,`` or
+    NUL (exported file names and rows are keyed by name), is reported and
+    skipped; the rest of the experiment runs.
     """
     summaries: list[ExperimentSummary] = []
     records: list[RunRecord] = []
@@ -197,7 +197,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for path in config.instances:
         try:
             inst = parse_instance(Path(path).read_text())
-        except (OSError, TsplibParseError) as exc:
+        except (OSError, UnicodeDecodeError, TsplibParseError) as exc:
             failures.append(InstanceFailure(path=path, error=str(exc)))
             continue
         if inst.name in paths_by_name:
@@ -207,8 +207,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if not inst.name:  # export's sweep would miss its run files
             failures.append(InstanceFailure(path=path, error="instance name '' is empty"))
             continue
-        if "/" in inst.name or "," in inst.name:  # a folder in a file name, a column in a row
-            failures.append(InstanceFailure(path=path, error=f"instance name {inst.name!r} holds a '/' or ','"))
+        # a folder in a file name, a column in a row, a name no file can have
+        if any(c in inst.name for c in "/,\0"):
+            error = f"instance name {inst.name!r} holds a '/', ',' or NUL"
+            failures.append(InstanceFailure(path=path, error=error))
             continue
         paths_by_name[inst.name] = path
         for algo in config.algorithms:

@@ -112,10 +112,10 @@ def move(
     ``PARAM_NAMES`` order (:func:`sweep` passes five values of its one
     block). ``alpha`` is the kick size in range widths: the kick in each
     dimension is ``alpha * (u - 1/2)`` times that dimension's width.
-    The result is clamped to the bounds, so the step is total; a negative
-    gamma or a non-finite alpha raises ``ValueError``. Full attraction
-    (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather than within
-    rounding error.
+    The result is clamped to the bounds, so the step is total; a gamma that
+    is negative or not finite, or a non-finite alpha, raises ``ValueError``.
+    Full attraction (b == 1, e.g. gamma == 0) lands on ``xj`` exactly rather
+    than within rounding error.
 
     The math runs on the five fields as Python floats, written out per
     dimension (about twice as fast as a loop over them, and the hybrid
@@ -127,8 +127,8 @@ def move(
     are the same IEEE operations in the same order as the elementwise
     array form, so the result is bit-identical to it.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     (lo0, hi0, w0), (lo1, hi1, w1), (lo2, hi2, w2), (lo3, hi3, w3), (lo4, hi4, w4) = bounds.sides

@@ -104,48 +104,39 @@ def error_matrix(best: ResponseMatrix, optima: Mapping[str, float]) -> ResponseM
 
 
 def rcbd_anova(m: ResponseMatrix) -> AnovaTable:
-    """Two-factor additive decomposition: treatments, blocks, residual."""
-    x = m.values
+    """Two-factor additive decomposition: treatments, blocks, residual.
+
+    Each SS is summed from its own deviations, scaled by a * b so they come
+    from the row, column and grand sums (a residual is a * b * x - a * row -
+    b * col + grand), never by subtraction of one SS from another. Cells are
+    taken relative to the first cell, so equal float cells become exact
+    zeros; integer cells give exact scaled deviations while a * b * |x| < 2**53.
+    """
+    x = m.values - m.values[0, 0]
     a, b = x.shape
-    grand = x.mean()
-    ss_treat = b * float(((x.mean(axis=1) - grand) ** 2).sum())
-    ss_block = a * float(((x.mean(axis=0) - grand) ** 2).sum())
-    ss_total = float(((x - grand) ** 2).sum())
-    ss_error = max(ss_total - ss_treat - ss_block, 0.0)
+    n = a * b
+    rows = x.sum(axis=1)
+    cols = x.sum(axis=0)
+    grand = x.sum()
 
-    df_treat = a - 1
-    df_block = b - 1
-    df_error = (a - 1) * (b - 1)
-    df_total = a * b - 1
+    def row(df: int, scaled: np.ndarray, weight: int = 1) -> AnovaRow:
+        ss = weight * float((scaled * scaled).sum()) / (n * n)
+        return AnovaRow(df, ss, ss / df)
 
-    ms_treat = ss_treat / df_treat
-    ms_block = ss_block / df_block
-    ms_error = ss_error / df_error
-
-    if ss_total == 0.0:
-        f_treat = f_block = 0.0
-        p_treat = p_block = 1.0
-    elif ms_error == 0.0:
-        f_treat = np.inf if ss_treat > 0 else 0.0
-        f_block = np.inf if ss_block > 0 else 0.0
-        p_treat = 0.0 if ss_treat > 0 else 1.0
-        p_block = 0.0 if ss_block > 0 else 1.0
-    else:
-        f_treat = ms_treat / ms_error
-        f_block = ms_block / ms_error
-        p_treat = _f_upper_tail(df_treat, df_error, f_treat)
-        p_block = _f_upper_tail(df_block, df_error, f_block)
-
+    treatment = row(a - 1, a * rows - grand, b)
+    block = row(b - 1, b * cols - grand, a)
+    error = row((a - 1) * (b - 1), n * x - a * rows[:, None] - b * cols[None, :] + grand)
+    f_treat, p_treat = _f_test(treatment, error)
+    f_block, p_block = _f_test(block, error)
     return AnovaTable(
-        treatment=AnovaRow(df_treat, ss_treat, ms_treat),
-        block=AnovaRow(df_block, ss_block, ms_block),
-        error=AnovaRow(df_error, ss_error, ms_error),
-        total=AnovaRow(df_total, ss_total, ss_total / df_total),
-        f_treatment=float(f_treat),
-        p_treatment=float(p_treat),
-        f_block=float(f_block),
-        p_block=float(p_block),
+        treatment, block, error, row(n - 1, n * x - grand), f_treat, p_treat, f_block, p_block
     )
+
+
+def _f_test(row: AnovaRow, error: AnovaRow) -> tuple[float, float]:
+    """F = row.ms / error.ms and its p; with no residual, F is inf, or 0 when row.ms is 0 too."""
+    f = row.ms / error.ms if error.ms else (math.inf if row.ms else 0.0)
+    return f, _f_upper_tail(row.df, error.df, f)
 
 
 def _f_upper_tail(d1: int, d2: int, f: float) -> float:

@@ -362,6 +362,23 @@ class TestRunExperiment:
         export(result)
         assert (tmp_path / "o" / "failures.txt").read_text().startswith(f"{bad}: ")
 
+    def test_instance_not_utf8_skips_that_instance_only(self, mini_path, tmp_path):
+        bad = tmp_path / "latin1.tsp"
+        bad.write_bytes(mini_path.read_text().replace("NAME : mini5", "NAME : caf\u00e9").encode("latin-1"))
+        config = ExperimentConfig(
+            instances=(str(mini_path), str(bad)),
+            repetitions=2,
+            iterations=2,
+            ants=2,
+            output_dir=str(tmp_path / "o"),
+        )
+        result = run_experiment(config)
+        assert [f.path for f in result.failures] == [str(bad)]
+        assert "can't decode byte 0xe9" in result.failures[0].error
+        assert [(s.algorithm, s.instance) for s in result.summaries] == [("acs", "mini5"), ("acsfa", "mini5")]
+        export(result)
+        assert (tmp_path / "o" / "failures.txt").read_text().startswith(f"{bad}: ")
+
     def test_repeated_instance_name_is_skipped(self, mini_path, tmp_path):
         # runs, traces and the best matrix are keyed by instance name, so a
         # second file with the same NAME would overwrite the first's results
@@ -388,16 +405,18 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "name, error",
         [
-            ("sub/random12", "instance name 'sub/random12' holds a '/' or ','"),
-            ("random,12", "instance name 'random,12' holds a '/' or ','"),
+            ("sub/random12", "instance name 'sub/random12' holds a '/', ',' or NUL"),
+            ("random,12", "instance name 'random,12' holds a '/', ',' or NUL"),
+            ("random\x0012", "instance name 'random\\x0012' holds a '/', ',' or NUL"),
             ("", "instance name '' is empty"),
         ],
-        ids=["slash", "comma", "empty"],
+        ids=["slash", "comma", "nul", "empty"],
     )
     def test_instance_name_no_export_can_carry_is_skipped(self, mini_path, tmp_path, name, error):
         # a '/' would put a run file in a missing folder, a ',' would add a
-        # column to the summary and best matrix rows, and an empty name gives
-        # run files that a later export's sweep does not match
+        # column to the summary and best matrix rows, a NUL is in no file
+        # name, and an empty name gives run files that a later export's sweep
+        # does not match
         first, bad = tmp_path / "a.tsp", tmp_path / "b.tsp"
         first.write_text(format_instance(random_euclidean(12, np.random.default_rng(1))))
         bad.write_text(first.read_text().replace("NAME : random12", f"NAME : {name}"))

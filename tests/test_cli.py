@@ -198,6 +198,14 @@ class TestStats:
         assert reports[0] == reports[1]
         assert "response: error" in reports[1]
 
+    def test_tied_matrix_reads_f_zero_p_one(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("treatment,w,x,y,z\n" + "".join(f"{t},19137.3,19137.3,19137.3,19137.3\n" for t in "ABC"))
+        assert main(["stats", str(matrix)]) == 0
+        out = capsys.readouterr().out
+        assert "treatment,2,0.0,0.0,0.00,1.000\n" in out
+        assert "block,3,0.0,0.0,0.00,1.000\n" in out
+
     def test_error_without_optima_fails(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.csv"
         matrix.write_text(MATRIX)

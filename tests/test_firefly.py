@@ -130,6 +130,12 @@ class TestMove:
         with pytest.raises(ValueError, match="alpha must be finite"):
             move(LOW, HIGH, alpha, 1.0, BOUNDS, np.random.default_rng(0).random(5))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # a NaN pull once sent xi to the box's low corner, as did inf at r = 0
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 0, got {gamma}"):
+            move(HIGH, HIGH, 0.1, gamma, BOUNDS, np.random.default_rng(0).random(5))
+
     def test_deterministic_given_seed(self):
         a = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42).random(5))
         b = move(LOW, HIGH, 2.3, 1.0, BOUNDS, np.random.default_rng(42).random(5))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,12 +187,40 @@ class TestRcbdAnova:
         )
         assert rcbd_anova(shuffled).f_treatment == pytest.approx(rcbd_anova(errors).f_treatment, rel=1e-12)
 
-    def test_degenerate_all_equal(self):
-        m = ResponseMatrix(np.full((3, 4), 5.0), ("a", "b", "c"), ("w", "x", "y", "z"))
+    @pytest.mark.parametrize("cell", [5.0, 0.1, 19137.3])
+    def test_degenerate_all_equal(self, cell):
+        # the mean of 0.1 or 19137.3 cells need not round back to the cell
+        m = ResponseMatrix(np.full((3, 4), cell), ("a", "b", "c"), ("w", "x", "y", "z"))
         table = rcbd_anova(m)
         assert table.total.ss == 0.0
-        assert table.f_treatment == 0.0
-        assert table.p_treatment == 1.0
+        assert table.f_treatment == table.f_block == 0.0
+        assert table.p_treatment == table.p_block == 1.0
+
+    def test_small_residual_beside_a_large_block_matches_exact_oracle(self):
+        # a pla85900-sized block puts the total SS near 3e16, where a residual
+        # SS of 14/3 got by subtraction keeps no correct digit
+        values = [
+            [6860, 142382643, 2020, 42029],
+            [6862, 142382645, 2022, 42033],
+            [6861, 142382643, 2023, 42031],
+        ]
+        a, b = len(values), len(values[0])
+        grand = Fraction(sum(map(sum, values)), a * b)
+        rows = [Fraction(sum(r), b) for r in values]
+        cols = [Fraction(sum(r[j] for r in values), a) for j in range(b)]
+        exact = [
+            b * sum((r - grand) ** 2 for r in rows),
+            a * sum((c - grand) ** 2 for c in cols),
+            sum((values[i][j] - rows[i] - cols[j] + grand) ** 2 for i in range(a) for j in range(b)),
+            sum((v - grand) ** 2 for r in values for v in r),
+        ]
+        assert exact[2] == Fraction(14, 3)
+        m = ResponseMatrix(np.array(values, dtype=float), ("a", "b", "c"), ("w", "x", "y", "z"))
+        table = rcbd_anova(m)
+        got = [table.treatment.ss, table.block.ss, table.error.ss, table.total.ss]
+        assert got == [pytest.approx(float(ss), rel=1e-12) for ss in exact]
+        assert table.f_treatment == pytest.approx(57 / 7, rel=1e-12)
+        assert table.p_treatment == pytest.approx(0.0195, abs=1e-4)
 
 
 class TestFUpperTail:
@@ -420,6 +449,13 @@ class TestStudentizedRange:
 
 
 class TestTukey:
+    def test_tied_matrix_one_letter(self):
+        # twelve blocks of 6859.1, whose means do not round back to the cells
+        m = ResponseMatrix(np.full((3, 12), 6859.1), ("a", "b", "c"), INSTANCES)
+        g = tukey_hsd(m, 0.90)
+        assert g.letters == ("A", "A", "A")
+        assert g.hsd == 0.0
+
     def test_published_grouping_for_errors(self, errors):
         g = tukey_hsd(errors, 0.90)
         assert g.treatments == ("ACS", "PSOACS", "ACSFA")
