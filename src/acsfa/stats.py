@@ -23,6 +23,10 @@ import numpy as np
 
 from .tsplib import check_integer
 
+# Cells beyond this size would overflow rcbd_anova's scaled squares; every
+# int64 tour length is far below it. NaN and inf fail the same test.
+_CELL_LIMIT = 1e100
+
 
 @dataclass(frozen=True, eq=False)
 class ResponseMatrix:
@@ -42,8 +46,8 @@ class ResponseMatrix:
             raise ValueError(f"values shape {v.shape} does not match {a} treatments x {b} blocks")
         if a < 2 or b < 2:
             raise ValueError(f"need at least 2 treatments and 2 blocks, got {a} x {b}")
-        if not np.isfinite(v).all():
-            raise ValueError("response matrix has missing or non-finite cells")
+        if not (np.abs(v) <= _CELL_LIMIT).all():
+            raise ValueError("response matrix has missing, non-finite or out-of-range cells (|v| > 1e100)")
         if len(set(self.treatments)) != a or len(set(self.blocks)) != b:
             raise ValueError("treatment and block labels must be unique")
 

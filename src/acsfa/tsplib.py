@@ -31,6 +31,11 @@ _BLOCK_ROWS = 64
 # distance must stay within int64.
 _INT64_MAX = 2**63 - 1
 
+# Within +-2**61 every EUC_2D difference, square and root is finite and the
+# root is below 2**62.5, so its int64 cast is exact; every GEO radian is
+# finite too. NaN and inf fail the same test.
+_COORD_LIMIT = 2.0**61
+
 # Header keys we understand but do not need.
 _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE", "CAPACITY"}
 
@@ -68,17 +73,6 @@ def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
         dx += 0.5
         d[lo:hi] = np.floor(dx, out=dx)  # nint()
     return d
-
-
-def _euclidean_bound(coords: np.ndarray) -> float:
-    """An upper bound on every EUC_2D distance, from the coordinate spans.
-
-    The relative slack covers the rounding of the spans, the squares and the
-    root, and the 1 covers nint(); GEO distances need no bound, as none
-    exceeds half the earth's circumference (20 038).
-    """
-    span = coords.max(axis=0) - coords.min(axis=0)
-    return float(np.hypot(span[0], span[1])) * (1.0 + 1e-9) + 1.0
 
 
 def _geo_matrix(coords: np.ndarray) -> np.ndarray:
@@ -141,8 +135,6 @@ class TspInstance:
                 raise ValueError("weight matrix must have a zero diagonal")
             if (w != w.T).any():
                 raise ValueError("weight matrix must be symmetric")
-            if n * int(w.max()) > _INT64_MAX:
-                raise ValueError("n x largest edge weight exceeds 2**63 - 1: tour lengths would overflow int64")
             owner = w
         else:
             if self.coords is None or self.weights is not None:
@@ -150,15 +142,13 @@ class TspInstance:
             c = np.array(self.coords, dtype=float)  # a private copy, as for weights
             if c.shape != (n, 2):
                 raise ValueError(f"coordinate array shape {c.shape} does not match dimension {n}")
-            if not np.isfinite(c).all():
-                raise ValueError("coordinates must be finite")
-            if self.metric == "EUC_2D" and n * _euclidean_bound(c) >= 2.0**63:
-                raise ValueError(
-                    "n x largest possible EUC_2D distance exceeds 2**63 - 1: tour lengths would overflow int64"
-                )
+            if not (np.abs(c) <= _COORD_LIMIT).all():
+                raise ValueError("coordinates must be finite and within +-2**61, or distances could overflow int64")
             c.setflags(write=False)
             object.__setattr__(self, "coords", c)
             owner = _euclidean_matrix(c) if self.metric == "EUC_2D" else _geo_matrix(c)
+        if n * int(owner.max()) > _INT64_MAX:
+            raise ValueError("n x largest distance exceeds 2**63 - 1: tour lengths would overflow int64")
         dist = owner.view()
         dist.setflags(write=False)
         if self.metric == "EXPLICIT":

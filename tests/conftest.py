@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -11,6 +12,9 @@ if str(SRC) not in sys.path:
 from acsfa.tsplib import TspInstance, parse_instance  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# a longer search for the property tests, chosen with --hypothesis-profile contract
+settings.register_profile("contract", max_examples=5000)
 
 
 @pytest.fixture(scope="session")

@@ -206,6 +206,15 @@ class TestStats:
         assert "treatment,2,0.0,0.0,0.00,1.000\n" in out
         assert "block,3,0.0,0.0,0.00,1.000\n" in out
 
+    @pytest.mark.parametrize("cell", ["1e160", "1e308"])
+    def test_huge_cell_fails_before_any_report(self, tmp_path, capsys, cell):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text(f"treatment,a,b,c,d\nacs,{cell},430,3012,0\nacsfa,6860,428,3011,3005\n")
+        assert main(["stats", str(matrix)]) == 2
+        captured = capsys.readouterr()
+        assert "source," not in captured.out
+        assert "|v| > 1e100" in captured.err
+
     def test_error_without_optima_fails(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.csv"
         matrix.write_text(MATRIX)

@@ -61,6 +61,22 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match="missing"):
             ResponseMatrix(values, ("a", "b"), ("x", "y"))
 
+    @pytest.mark.parametrize("cell", [1e160, -1e308])
+    def test_cells_are_bounded_by_1e100(self, cell):
+        # beyond 1e100 rcbd_anova's scaled squares would overflow to inf and nan
+        labels = ("acs", "acsfa"), ("a", "b", "c", "d")
+        with pytest.raises(ValueError, match="missing"):
+            ResponseMatrix(np.array([[cell, 430, 3012, 0], [6860, 428, 3011, 3005]]), *labels)
+        with pytest.raises(ValueError, match=r"\|v\| > 1e100"):
+            read_response_matrix(f"treatment,a,b,c,d\nacs,{cell!r},430,3012,0\nacsfa,6860,428,3011,3005\n")
+        # at the bound itself every figure stays finite
+        values = np.array([[1e100, -1e100, 3, 1e100], [-1e100, 1e100, 2, 5], [1e100, 1e100, -1e100, 0]])
+        m = ResponseMatrix(values, ("x", "y", "z"), ("a", "b", "c", "d"))
+        table = rcbd_anova(m)
+        figures = [table.f_treatment, table.p_treatment, table.f_block, table.p_block, table.total.ss]
+        assert all(math.isfinite(v) for v in figures + [tukey_hsd(m, 0.9).hsd])
+        assert 0.0 < table.p_treatment < 1.0
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             ResponseMatrix(np.zeros((2, 2)), ("a", "a"), ("x", "y"))

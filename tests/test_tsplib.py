@@ -311,6 +311,32 @@ class TestBadInputsRejected:
         with pytest.raises(ValueError, match="overflow int64"):
             TspInstance(name="x", dimension=4, metric="EUC_2D", coords=coords)
 
+    def test_geo_coordinates_are_bounded(self):
+        # 1e308 degrees overflowed the radians and cast NaN distances to -2**63
+        city = [(0, 0), (1e308, 1), (2, 2), (3, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TsplibParseError, match="overflow int64"):
+                parse_instance(make_coord_file(city, metric="GEO"))
+            city[1] = (1e17, 1)
+            inst = parse_instance(make_coord_file(city, metric="GEO"))
+        assert inst.dist.tolist() == [
+            [0, 1863, 315, 353], [1863, 0, 1863, 1860], [315, 1863, 0, 158], [353, 1860, 158, 0]
+        ]
+
+    def test_euc_2d_coordinates_near_the_float_limit(self):
+        coords = [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            TspInstance(name="x", dimension=3, metric="EUC_2D", coords=coords)
+
+    def test_euc_2d_and_explicit_share_one_bound(self):
+        # 3 x the largest distance, 3074457345618258432, fits in int64
+        b = 1537228672809129216
+        euc = TspInstance(name="x", dimension=3, metric="EUC_2D", coords=[[-b, 0], [b, 0], [b, 0]])
+        explicit = TspInstance(name="x", dimension=3, metric="EXPLICIT", weights=euc.dist)
+        assert np.array_equal(euc.dist, explicit.dist)
+        assert int(euc.dist.max()) == 2 * b
+
     def test_explicit_weights_whose_tour_sums_overflow_int64(self):
         big = (2**63 - 1) // 3
         w = [[0, big, 1], [big, 0, 1], [1, 1, 0]]
